@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test race solver-race bench bench-smoke bench-json bench-json-obs bench-json-remedy chaos-smoke remedy-smoke fleet-smoke store-smoke check clean
+.PHONY: all build vet fmt test race solver-race bench bench-smoke bench-json bench-json-obs bench-json-remedy chaos-smoke remedy-smoke fleet-smoke store-smoke e2ebench-test check clean
 
 all: check
 
@@ -98,6 +98,13 @@ fleet-smoke:
 # package.
 store-smoke:
 	IHNET_STORE_SMOKE=1 $(GO) test ./internal/httpapi/e2etest -v -timeout 20m -count=1
+
+# End-to-end benchmark self-test: e2ebench is its own Go module (so the
+# root `go test ./...` skips it), yet it compiles against httpapi,
+# apiclient, snap, store and fleet. Building and testing it here keeps
+# an API change from silently breaking the benchmark (~10 s).
+e2ebench-test:
+	cd e2ebench && $(GO) test ./...
 
 # Seed-pinned chaos smoke: randomized fault/churn schedules under the
 # cross-layer invariant oracle (internal/chaos), deterministic per

@@ -4,13 +4,12 @@
 // under /api/v1/, plus the observability surface: Prometheus metrics
 // at /metrics, the event trace at /api/v1/trace/events, the live
 // event stream (SSE) at /api/v1/events, liveness with per-subsystem
-// status at /api/v1/healthz, and Go profiling at /debug/pprof/.
-// Pre-v1 /api/... paths answer with 308 redirects to their /api/v1/
-// successors. A structured access log (one logfmt line per request,
-// disable with -access-log=false) mints per-request correlation IDs
-// that double as the root spans of journaled commands. In fleet mode
-// the merged roll-up is at /api/v1/fleet/metrics/rollup and the
-// fleet-wide host-tagged stream at /api/v1/fleet/events.
+// status at /api/v1/healthz, and Go profiling at /debug/pprof/. A
+// structured access log (one logfmt line per request, disable with
+// -access-log=false) mints per-request correlation IDs that double as
+// the root spans of journaled commands. In fleet mode the merged
+// roll-up is at /api/v1/fleet/metrics/rollup and the fleet-wide
+// host-tagged stream at /api/v1/fleet/events.
 //
 // Virtual time advances continuously by default (1 ms of virtual time
 // per 10 ms of wall time); pass -autoadvance=0 to drive time only via
@@ -174,7 +173,7 @@ func main() {
 	// serving and shutdown machinery below is shared; authReg is where
 	// the auth middleware lands its denial counters.
 	var handler http.Handler
-	var advance func(simtime.Duration)
+	var advance func(simtime.Duration) error
 	var stopHosts func()
 	var authReg *obs.Registry
 
@@ -402,19 +401,30 @@ func main() {
 	defer stop()
 
 	// Auto-advance loop: drains on shutdown so no advance is cut off
-	// mid-event; advanceDone closes once the last advance returns.
+	// mid-event; advanceDone closes once the last advance returns. A
+	// failed advance (a WAL append error, say) is logged once per run
+	// of failures, not once per tick.
 	advanceDone := make(chan struct{})
 	if *auto > 0 {
 		go func() {
 			defer close(advanceDone)
 			ticker := time.NewTicker(10 * time.Millisecond)
 			defer ticker.Stop()
+			failed := 0
 			for {
 				select {
 				case <-ctx.Done():
 					return
 				case <-ticker.C:
-					advance(simtime.Duration(*auto))
+					if err := advance(simtime.Duration(*auto)); err != nil {
+						if failed == 0 {
+							log.Printf("ihnetd: auto-advance: %v", err)
+						}
+						failed++
+					} else if failed > 0 {
+						log.Printf("ihnetd: auto-advance recovered after %d failed ticks", failed)
+						failed = 0
+					}
 				}
 			}
 		}()

@@ -49,9 +49,9 @@ func (c *Client) authorize(req *http.Request) {
 	}
 }
 
-// Error is a non-2xx response decoded from the v1 envelope. Responses
-// from pre-envelope daemons (a bare {"error":"..."} or no JSON at all)
-// degrade to an Error with an empty Code.
+// Error is a non-2xx response decoded from the v1 envelope. A body
+// that is not the envelope (a proxy's plain-text error, say) degrades
+// to an Error carrying only the status.
 type Error struct {
 	Status  int    // HTTP status code
 	Code    string // typed envelope code ("conflict", "not_found", ...)
@@ -141,27 +141,19 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 	}
 }
 
-// decodeError turns an error body into *Error: the v1 envelope first,
-// the legacy flat {"error":"..."} shape second, status-only last.
+// decodeError turns an error body into *Error: the v1 envelope when
+// the body carries one, status-only otherwise.
 func decodeError(status int, data []byte) error {
 	var env struct {
-		Error json.RawMessage `json:"error"`
-	}
-	e := &Error{Status: status}
-	if json.Unmarshal(data, &env) == nil && len(env.Error) > 0 {
-		var detail struct {
+		Error struct {
 			Code    string          `json:"code"`
 			Message string          `json:"message"`
 			Details json.RawMessage `json:"details"`
-		}
-		if json.Unmarshal(env.Error, &detail) == nil && detail.Message != "" {
-			e.Code, e.Message, e.Details = detail.Code, detail.Message, detail.Details
-			return e
-		}
-		var msg string
-		if json.Unmarshal(env.Error, &msg) == nil {
-			e.Message = msg
-		}
+		} `json:"error"`
+	}
+	e := &Error{Status: status}
+	if json.Unmarshal(data, &env) == nil && env.Error.Message != "" {
+		e.Code, e.Message, e.Details = env.Error.Code, env.Error.Message, env.Error.Details
 	}
 	return e
 }

@@ -60,24 +60,6 @@ func TestEnvelopeError(t *testing.T) {
 	}
 }
 
-// TestLegacyFlatError: a pre-envelope daemon's {"error":"..."} shape
-// still yields a useful message.
-func TestLegacyFlatError(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusBadRequest)
-		w.Write([]byte(`{"error":"bad micros"}`))
-	}))
-	defer ts.Close()
-	err := New(ts.URL).Get(context.Background(), "/advance", nil)
-	var apiErr *Error
-	if !errors.As(err, &apiErr) {
-		t.Fatalf("err %T, want *Error", err)
-	}
-	if apiErr.Code != "" || apiErr.Message != "bad micros" || apiErr.Status != http.StatusBadRequest {
-		t.Fatalf("decoded %+v", apiErr)
-	}
-}
-
 func TestNonJSONError(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		http.Error(w, "gateway exploded", http.StatusBadGateway)

@@ -120,10 +120,6 @@ func expandBatchOp(op batchOpDTO) ([]snap.Entry, error) {
 // failing op aborts the rest — comes back as 409 with the same result
 // array inside the error envelope's details.
 func (s *Server) postBatch(w http.ResponseWriter, r *http.Request) {
-	if s.sess == nil {
-		writeErr(w, http.StatusNotFound, errNoSession)
-		return
-	}
 	var req struct {
 		Ops []batchOpDTO `json:"ops"`
 	}
@@ -150,14 +146,15 @@ func (s *Server) postBatch(w http.ResponseWriter, r *http.Request) {
 			owner = append(owner, i)
 		}
 	}
-	before := s.mgr.Fabric().SolverStats()
-	opResults, applyErr := s.sess.ApplyBatch(entries)
+	sess := s.sess.Load()
+	before := sess.Manager().Fabric().SolverStats()
+	opResults, applyErr := sess.ApplyBatch(entries)
 	if opResults == nil {
 		// Structural rejection: nothing was applied or journaled.
 		writeErr(w, http.StatusBadRequest, applyErr)
 		return
 	}
-	settles := s.mgr.Fabric().SolverStats().Solves - before.Solves
+	settles := sess.Manager().Fabric().SolverStats().Solves - before.Solves
 	// Fold per-journal-op results back onto request ops: an expanded op
 	// is "ok" only if all its journal ops applied, "failed" if any
 	// failed, otherwise "skipped".
@@ -191,7 +188,7 @@ func (s *Server) postBatch(w http.ResponseWriter, r *http.Request) {
 // sizing the live partition walks the union-find with path
 // compression, which mutates finder state.
 func (s *Server) getSolver(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.mgr.Fabric().SolverStats())
+	writeJSON(w, http.StatusOK, s.Manager().Fabric().SolverStats())
 }
 
 // fleetSolverDTO is the fleet roll-up of per-host solver stats.

@@ -5,7 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
+	"net/http/pprof"
+	"sync"
 )
 
 // APIPrefix is the versioned mount point of the control plane. Every
@@ -139,7 +140,7 @@ type route struct {
 func (rt route) Path() string { return APIPrefix + rt.Pattern }
 
 // Request-body caps, enforced by one http.MaxBytesReader wrap in
-// mountRoutes — the single choke point for every route, replacing the
+// newMux — the single choke point for every route, replacing the
 // ad-hoc per-handler readers. A body over the cap surfaces as a 413 in
 // the typed envelope (see writeErr).
 const (
@@ -159,13 +160,16 @@ func bodyCap(pattern string) int64 {
 	return DefaultBodyCap
 }
 
-// mountRoutes registers the table on mux under APIPrefix, wrapping
-// each handler in the route's body cap and the requested lock via
-// wrap, and installs the legacy /api/... 308 redirects plus
-// envelope-speaking 404s for everything else.
-func mountRoutes(mux *http.ServeMux, routes []route, wrap func(lockMode, http.HandlerFunc) http.HandlerFunc) {
+// newMux builds a server's handler: the v1 route table under
+// APIPrefix, each route under its body cap and lock mode; the
+// unversioned operational surface — metrics at /metrics and pprof
+// under /debug/pprof/ — which skips the lock; and envelope-speaking
+// 404s for every other path. onWrite, when set, runs under the write
+// lock before each lockWrite handler.
+func newMux(routes []route, mu *sync.RWMutex, onWrite func(*http.Request), metrics http.HandlerFunc) http.Handler {
+	mux := http.NewServeMux()
 	for _, rt := range routes {
-		h := wrap(rt.Lock, rt.Handler)
+		h := withLock(mu, rt.Lock, rt.Handler, onWrite)
 		cap := bodyCap(rt.Pattern)
 		mux.HandleFunc(rt.Method+" "+rt.Path(), func(w http.ResponseWriter, r *http.Request) {
 			if r.Body != nil {
@@ -174,28 +178,47 @@ func mountRoutes(mux *http.ServeMux, routes []route, wrap func(lockMode, http.Ha
 			h(w, r)
 		})
 	}
-	mux.HandleFunc("/api/", legacyRedirect)
 	mux.HandleFunc("/", notFound)
+	mux.HandleFunc("GET /metrics", metrics)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }
 
-// legacyRedirect preserves the pre-v1 surface: any /api/... path that
-// is not under /api/v1/ permanently redirects (308, method and body
-// preserved) to its /api/v1/... successor. Unknown /api/v1/ paths get
-// the envelope 404 instead of net/http's plain-text one. The legacy
-// paths are deprecated; see DESIGN.md for the removal window.
-func legacyRedirect(w http.ResponseWriter, r *http.Request) {
-	p := r.URL.Path
-	if p == APIPrefix || strings.HasPrefix(p, APIPrefix+"/") {
-		notFound(w, r)
-		return
+// withLock applies a route's lock mode to h. Both lock paths re-check
+// the request context after acquiring: a client that gave up while
+// queued behind a long advance gets the 499 envelope instead of a
+// handler run it will never read.
+func withLock(mu *sync.RWMutex, lock lockMode, h http.HandlerFunc, onWrite func(*http.Request)) http.HandlerFunc {
+	switch lock {
+	case lockRead:
+		return func(w http.ResponseWriter, r *http.Request) {
+			mu.RLock()
+			defer mu.RUnlock()
+			if err := r.Context().Err(); err != nil {
+				writeErr(w, StatusClientClosedRequest, err)
+				return
+			}
+			h(w, r)
+		}
+	case lockWrite:
+		return func(w http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			defer mu.Unlock()
+			if err := r.Context().Err(); err != nil {
+				writeErr(w, StatusClientClosedRequest, err)
+				return
+			}
+			if onWrite != nil {
+				onWrite(r)
+			}
+			h(w, r)
+		}
 	}
-	target := APIPrefix + strings.TrimPrefix(p, "/api")
-	if q := r.URL.RawQuery; q != "" {
-		target += "?" + q
-	}
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", "<"+target+">; rel=\"successor-version\"")
-	http.Redirect(w, r, target, http.StatusPermanentRedirect)
+	return h
 }
 
 func notFound(w http.ResponseWriter, r *http.Request) {

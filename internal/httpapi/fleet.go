@@ -6,31 +6,26 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/fabric"
 	"repro/internal/fleet"
-	"repro/internal/intent"
 	"repro/internal/obs"
 	"repro/internal/remedy"
 	"repro/internal/simtime"
 	"repro/internal/snap"
 	"repro/internal/store"
-	"repro/internal/topology"
 )
 
 // FleetServer is the control plane of a multi-host daemon: one ihnetd
 // process managing N simulated hosts, advanced concurrently by the
 // fleet runner's epoch barriers. It speaks the same v1 contract as the
 // single-host Server — every endpoint under /api/v1/, the typed error
-// envelope, legacy /api/... 308 redirects, 499 on client abort — with
-// the fleet verbs (place, migrate, rebalance, per-host checkpointing)
-// layered on top.
+// envelope, 499 on client abort — with the fleet verbs (place,
+// migrate, rebalance, per-host checkpointing) layered on top.
 //
 // One RWMutex serializes the fleet: the runner is not safe for
 // concurrent use, and placement/migration decisions must observe hosts
@@ -95,20 +90,22 @@ func (s *FleetServer) Workers() int { return s.runner.Workers() }
 // remediation controller built on top can quarantine hosts through it).
 func (s *FleetServer) Runner() *fleet.ShardedRunner { return s.runner }
 
-// Advance moves the whole fleet forward by d under the server's lock —
-// the daemon's auto-advance loop drives this. With remediation wired
-// in, the per-host controllers step once after the outer barrier, in
-// host order, exactly as the chaos harness does between epochs; their
-// actions mutate host state outside the epoch loop, so every shard's
-// roll-up cache is invalidated afterwards.
-func (s *FleetServer) Advance(d simtime.Duration) {
+// Advance moves the whole fleet forward by d under the server's lock
+// and returns the runner's error — the daemon's auto-advance loop
+// drives this. A host that fails mid-run is quarantined, not reported
+// here. With remediation wired in, the per-host controllers step once
+// after the outer barrier, in host order, exactly as the chaos harness
+// does between epochs; their actions mutate host state outside the
+// epoch loop, so every shard's roll-up cache is invalidated afterwards.
+func (s *FleetServer) Advance(d simtime.Duration) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, _ = s.runner.RunFor(nil, d)
+	_, err := s.runner.RunFor(nil, d)
 	if s.rem != nil {
 		s.rem.StepAll()
 		s.runner.MarkAllDirty()
 	}
+	return err
 }
 
 // apiRoutes is the fleet daemon's v1 route table. Everything that
@@ -147,51 +144,20 @@ func (s *FleetServer) apiRoutes() []route {
 	}
 }
 
-// Handler returns the fleet mux: the v1 table, legacy redirects, the
-// fleet runner's metrics at /metrics, and pprof.
+// Handler returns the fleet mux: the v1 table, the fleet runner's
+// metrics at /metrics, and pprof.
 func (s *FleetServer) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mountRoutes(mux, s.apiRoutes(), s.wrap)
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		// Runner-level metrics first (epoch timings, quarantines), then
-		// the fleet roll-up: every host's counters and histograms merged
-		// into one scrape, so a 256-host fleet is one Prometheus target.
-		_ = s.reg.WritePrometheus(w)
-		_ = s.runner.Rollup().WritePrometheus(w)
-	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
+	return newMux(s.apiRoutes(), &s.mu, nil, s.getMetrics)
 }
 
-func (s *FleetServer) wrap(lock lockMode, h http.HandlerFunc) http.HandlerFunc {
-	switch lock {
-	case lockRead:
-		return func(w http.ResponseWriter, r *http.Request) {
-			s.mu.RLock()
-			defer s.mu.RUnlock()
-			if err := r.Context().Err(); err != nil {
-				writeErr(w, StatusClientClosedRequest, err)
-				return
-			}
-			h(w, r)
-		}
-	case lockWrite:
-		return func(w http.ResponseWriter, r *http.Request) {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			if err := r.Context().Err(); err != nil {
-				writeErr(w, StatusClientClosedRequest, err)
-				return
-			}
-			h(w, r)
-		}
-	}
-	return h
+// getMetrics serves runner-level metrics first (epoch timings,
+// quarantines), then the fleet roll-up: every host's counters and
+// histograms merged into one scrape, so a 256-host fleet is one
+// Prometheus target.
+func (s *FleetServer) getMetrics(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	_ = s.reg.WritePrometheus(w)
+	_ = s.runner.Rollup().WritePrometheus(w)
 }
 
 type fleetHostDTO struct {
@@ -252,18 +218,12 @@ func (s *FleetServer) getFleetReport(w http.ResponseWriter, _ *http.Request) {
 // aborts the run at the next epoch barrier — the fleet is never left
 // mid-epoch — and gets the 499 envelope.
 func (s *FleetServer) postFleetAdvance(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Micros int64 `json:"micros"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	d, err := decodeMicros(r)
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.Micros <= 0 || req.Micros > 10_000_000 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("micros must be in (0, 1e7]"))
-		return
-	}
-	rep, err := s.runner.RunFor(r.Context(), simtime.Duration(req.Micros)*simtime.Microsecond)
+	rep, err := s.runner.RunFor(r.Context(), d)
 	if rep.Aborted {
 		writeErr(w, StatusClientClosedRequest, err)
 		return
@@ -284,32 +244,18 @@ func (s *FleetServer) postFleetAdvance(w http.ResponseWriter, r *http.Request) {
 // postPlace admits a tenant on the least-pressured host that accepts
 // it — the fleet-level counterpart of POST /api/v1/tenants.
 func (s *FleetServer) postPlace(w http.ResponseWriter, r *http.Request) {
-	var req admitDTO
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	tenant, targets, err := decodeAdmit(r)
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	targets := make([]intent.Target, 0, len(req.Targets))
-	for _, t := range req.Targets {
-		targets = append(targets, intent.Target{
-			Tenant: fabric.TenantID(req.Tenant),
-			Src:    topology.CompID(t.Src), Dst: topology.CompID(t.Dst),
-			Rate:       topology.Gbps(t.RateGbps),
-			MaxLatency: simtime.Duration(t.MaxLatNs),
-		})
-	}
-	view, host, err := s.fleet.Place(fabric.TenantID(req.Tenant), targets)
+	view, host, err := s.fleet.Place(fabric.TenantID(tenant), targets)
 	if err != nil {
 		writeErr(w, http.StatusConflict, err)
 		return
 	}
 	s.runner.MarkDirty(host.Name)
-	out := viewDTO{Tenant: string(view.Tenant), Host: host.Name,
-		LinksBps: make(map[string]float64)}
-	for l, rate := range view.Reservation.Links {
-		out.LinksBps[string(l)] = float64(rate)
-	}
-	writeJSON(w, http.StatusCreated, out)
+	writeJSON(w, http.StatusCreated, newViewDTO(view, host.Name))
 }
 
 func (s *FleetServer) deleteFleetTenant(w http.ResponseWriter, r *http.Request) {
@@ -351,12 +297,7 @@ func (s *FleetServer) postMigrate(w http.ResponseWriter, r *http.Request) {
 		s.runner.MarkDirty(src.Name)
 	}
 	s.runner.MarkDirty(req.Host)
-	out := viewDTO{Tenant: string(view.Tenant), Host: req.Host,
-		LinksBps: make(map[string]float64)}
-	for l, rate := range view.Reservation.Links {
-		out.LinksBps[string(l)] = float64(rate)
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, newViewDTO(view, req.Host))
 }
 
 func (s *FleetServer) postRebalance(w http.ResponseWriter, _ *http.Request) {
@@ -375,61 +316,53 @@ func (s *FleetServer) postRebalance(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
+// pathHost resolves the {host} path segment, answering 404 (and
+// returning nil) when the fleet has no such host.
+func (s *FleetServer) pathHost(w http.ResponseWriter, r *http.Request) *fleet.Host {
+	h := s.fleet.Host(r.PathValue("host"))
+	if h == nil {
+		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown host %q", r.PathValue("host")))
+	}
+	return h
+}
+
 // postHostSnapshot checkpoints one host of the fleet. Fleet hosts
 // booted from -hosts-dir embed their spec document in the session
 // config, so the snapshot is self-describing: `ihdiag replay` can
 // verify it without the original directory.
 func (s *FleetServer) postHostSnapshot(w http.ResponseWriter, r *http.Request) {
-	h := s.fleet.Host(r.PathValue("host"))
+	h := s.pathHost(w, r)
 	if h == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown host %q", r.PathValue("host")))
 		return
 	}
 	if h.Sess == nil {
 		writeErr(w, http.StatusNotFound, errNoSession)
 		return
 	}
+	var hs *store.Store
 	if s.fstore != nil {
-		hs, err := s.fstore.Host(h.Name)
-		if err != nil {
+		var err error
+		if hs, err = s.fstore.Host(h.Name); err != nil {
 			writeErr(w, http.StatusInternalServerError, fmt.Errorf("open host store: %w", err))
 			return
 		}
-		info, err := hs.SaveSnapshot(h.Sess.BuildPayload())
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, fmt.Errorf("persist checkpoint: %w", err))
-			return
-		}
-		w.Header().Set("X-Store-Snapshot-Seq", strconv.FormatUint(info.Seq, 10))
-		w.Header().Set("X-Store-Chunks-Written", strconv.Itoa(info.ChunksWritten))
-		w.Header().Set("X-Store-Chunks-Reused", strconv.Itoa(info.ChunksReused))
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Disposition",
-		fmt.Sprintf("attachment; filename=%q", h.Name+"-snapshot.json"))
-	if err := h.Sess.Snapshot(w); err != nil {
-		fmt.Fprintf(w, "\n{\"error\": %q}\n", err.Error())
-	}
+	writeSnapshot(w, h.Sess, hs, h.Name+"-snapshot.json")
 	// Snapshot encoding bumps the host's snap metrics.
 	s.runner.MarkDirty(h.Name)
 }
 
 // getHostStateHash returns one host's canonical state fingerprint.
 func (s *FleetServer) getHostStateHash(w http.ResponseWriter, r *http.Request) {
-	h := s.fleet.Host(r.PathValue("host"))
+	h := s.pathHost(w, r)
 	if h == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown host %q", r.PathValue("host")))
 		return
 	}
-	out := map[string]any{
-		"host":            h.Name,
-		"state_hash":      snap.StateHash(h.Mgr),
-		"virtual_time_ns": int64(h.Mgr.Engine().Now()),
-	}
+	out := map[string]any{"host": h.Name}
 	if h.Sess != nil {
 		out["journal_entries"] = h.Sess.Journal().Len()
 	}
-	writeJSON(w, http.StatusOK, out)
+	writeStateHash(w, h.Mgr, out)
 	// Hashing exports state, which settles accounting metrics.
 	s.runner.MarkDirty(h.Name)
 }
@@ -465,18 +398,15 @@ func (s *FleetServer) getFleetStateHash(w http.ResponseWriter, _ *http.Request) 
 }
 
 func (s *FleetServer) getHostJournal(w http.ResponseWriter, r *http.Request) {
-	h := s.fleet.Host(r.PathValue("host"))
+	h := s.pathHost(w, r)
 	if h == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown host %q", r.PathValue("host")))
 		return
 	}
 	if h.Sess == nil {
 		writeErr(w, http.StatusNotFound, errNoSession)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	j := h.Sess.Journal()
-	_ = j.Encode(w)
+	writeJournal(w, h.Sess)
 }
 
 // getFleetRollup serves the merged fleet snapshot as JSON: counters
@@ -511,8 +441,7 @@ func (s *FleetServer) getFleetHealthz(w http.ResponseWriter, _ *http.Request) {
 		quarantinedHosts = append(quarantinedHosts, name)
 	}
 	sort.Strings(quarantinedHosts)
-	bus := s.runner.Bus()
-	remedyDegraded := s.rem != nil && s.rem.Degraded()
+	remedyBlock, remedyDegraded := remedyHealth(s.controller())
 	st := s.runner.Stats()
 	subsystems := map[string]any{
 		"runner": map[string]any{
@@ -528,22 +457,8 @@ func (s *FleetServer) getFleetHealthz(w http.ResponseWriter, _ *http.Request) {
 			"hits":   st.RollupCacheHits,
 			"misses": st.RollupCacheMisses,
 		},
-		"obs_bus": map[string]any{
-			"status":      "ok",
-			"subscribers": bus.Subscribers(),
-			"published":   bus.Seq(),
-			"dropped":     bus.Dropped(),
-		},
-	}
-	if s.rem != nil {
-		st := s.rem.Stats()
-		subsystems["remedy"] = map[string]any{
-			"status":         boolStatus(!remedyDegraded, "ok", "degraded"),
-			"open_incidents": st.Open,
-			"resolved":       st.Resolved,
-		}
-	} else {
-		subsystems["remedy"] = map[string]any{"status": "disabled"}
+		"obs_bus": busHealth(s.runner.Bus()),
+		"remedy":  remedyBlock,
 	}
 	if s.fstore != nil {
 		fst := s.fstore.Stats()

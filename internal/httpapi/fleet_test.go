@@ -231,16 +231,12 @@ func TestFleetCanceledAdvanceGets499(t *testing.T) {
 	}
 }
 
-// TestFleetLegacyRedirect: the fleet surface inherits the same 308
-// compatibility layer.
-func TestFleetLegacyRedirect(t *testing.T) {
-	_, ts := newFleetServer(t)
-	var hosts []any
-	if code := getJSON(t, ts.URL+"/api/fleet/hosts", &hosts); code != http.StatusOK {
-		t.Fatalf("legacy fleet path resolved with %d", code)
-	}
-	if len(hosts) != 2 {
-		t.Fatalf("legacy fleet path returned %d hosts", len(hosts))
+// TestFleetAdvanceReportsError: the runner's error reaches the
+// daemon's auto-advance loop instead of being dropped.
+func TestFleetAdvanceReportsError(t *testing.T) {
+	s, _ := newFleetServer(t)
+	if err := s.Advance(0); err == nil {
+		t.Fatal("zero-length fleet advance returned no error")
 	}
 }
 

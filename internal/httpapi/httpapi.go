@@ -7,10 +7,7 @@
 //
 // Every JSON endpoint lives under the versioned prefix /api/v1/ and
 // every non-2xx response carries the single typed error envelope
-// {"error":{"code","message"}} (see envelope.go). The pre-v1 paths
-// (/api/...) remain as 308 Permanent Redirects to their /api/v1/
-// successors — method and body preserved — for one deprecation window;
-// DESIGN.md records the removal schedule. Handlers honor
+// {"error":{"code","message"}} (see envelope.go). Handlers honor
 // r.Context(): a client that disconnects mid-operation gets a 499
 // envelope instead of a partial body, and long virtual-time advances
 // abort between slices.
@@ -22,28 +19,26 @@
 // daemon's optional auto-advance loop), so API interactions are
 // deterministic and replayable.
 //
-// When the server is built over a snap.Session (NewWithSession), every
-// mutating command is journaled, and three more endpoints appear:
-// POST /api/v1/snapshot (checkpoint), POST /api/v1/restore (replace
-// the live host with one rebuilt from a snapshot), and
-// GET /api/v1/journal (the recorded command log, ready for
-// `ihdiag replay`).
+// The server is built over a snap.Session (NewWithSession), so every
+// mutating command is journaled: POST /api/v1/snapshot checkpoints the
+// host, POST /api/v1/restore replaces it with one rebuilt from a
+// snapshot, and GET /api/v1/journal serves the recorded command log,
+// ready for `ihdiag replay`.
 package httpapi
 
 import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"runtime"
 	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/diag"
 	"repro/internal/experiments"
 	"repro/internal/fabric"
 	"repro/internal/intent"
@@ -57,25 +52,25 @@ import (
 	"repro/internal/vnet"
 )
 
-// Server wraps a manager with an HTTP control plane.
+// Server wraps a journaled host with an HTTP control plane.
 type Server struct {
-	mu      sync.RWMutex
-	mgr     *core.Manager
-	sess    *snap.Session      // nil when journaling is not wired in
+	mu sync.RWMutex
+	// sess is the live host. POST /restore swaps it under the write
+	// lock; the pointer is atomic so the lock-free routes (metrics,
+	// trace events, the event stream) read it safely too.
+	sess    atomic.Pointer[snap.Session]
 	rem     *remedy.Controller // nil when remediation is not wired in
 	store   *store.Store       // nil when durable persistence is not wired in
 	started time.Time
 }
 
-// New builds a server over a bare manager. Commands are not journaled
-// and the snapshot endpoints report an error.
-func New(mgr *core.Manager) *Server { return &Server{mgr: mgr, started: time.Now()} }
-
 // NewWithSession builds a server over a recording session: every
 // mutating API command lands in the session's journal and the
 // snapshot/restore/journal endpoints are live.
 func NewWithSession(sess *snap.Session) *Server {
-	return &Server{mgr: sess.Manager(), sess: sess, started: time.Now()}
+	s := &Server{started: time.Now()}
+	s.sess.Store(sess)
+	return s
 }
 
 // SetStore attaches the durable store backing the session. The daemon
@@ -91,31 +86,26 @@ func (s *Server) SetStore(st *store.Store) {
 }
 
 // Manager returns the manager the server is currently backed by. A
-// successful POST /api/restore swaps it, so callers holding on to the
-// manager across requests (the daemon's shutdown path) must re-read it
-// here instead of caching the pointer.
-func (s *Server) Manager() *core.Manager {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.mgr
-}
+// successful POST /api/v1/restore swaps it, so callers holding on to
+// the manager across requests (the daemon's shutdown path) must
+// re-read it here instead of caching the pointer.
+func (s *Server) Manager() *core.Manager { return s.sess.Load().Manager() }
 
-// Advance moves virtual time forward by d under the server's lock.
-// The daemon's auto-advance loop uses it; tests may too. When a
+// Advance moves virtual time forward by d under the server's lock and
+// returns the session's error — a failed durable append, say. The
+// daemon's auto-advance loop uses it; tests may too. When a
 // remediation controller is wired in, each advance is followed by one
 // control-loop step — the single-host analogue of the fleet's
-// between-epochs stepping.
-func (s *Server) Advance(d simtime.Duration) {
+// between-epochs stepping. The step runs even when the advance
+// reports an error: a failed append leaves the simulation advanced.
+func (s *Server) Advance(d simtime.Duration) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.sess != nil {
-		_ = s.sess.Advance(d)
-	} else {
-		s.mgr.RunFor(d)
-	}
+	err := s.sess.Load().Advance(d)
 	if s.rem != nil {
 		s.rem.Step()
 	}
+	return err
 }
 
 // apiRoutes is the server's v1 route table: the single source of
@@ -139,7 +129,7 @@ func (s *Server) apiRoutes() []route {
 		{"DELETE", "/tenants/{id}", lockWrite, s.deleteTenant},
 		{"POST", "/advance", lockWrite, s.postAdvance},
 		// Batched mutations: one envelope, one journal entry, one
-		// solver settle (journaling required — see batch.go).
+		// solver settle (see batch.go).
 		{"POST", "/batch", lockWrite, s.postBatch},
 		// Component-solver introspection. Write lock: sizing the live
 		// partition path-compresses the union-find.
@@ -151,9 +141,8 @@ func (s *Server) apiRoutes() []route {
 		{"GET", "/tenants/{id}/verify", lockWrite, s.getVerify},
 		{"GET", "/tenants/{id}/usage", lockWrite, s.getTenantUsage},
 		{"GET", "/experiments/{id}", lockNone, s.getExperiment},
-		// Checkpoint/restore and the command journal (unavailable
-		// unless the server was built with NewWithSession). Snapshot
-		// takes the write lock: exporting state settles accounting.
+		// Checkpoint/restore and the command journal. Snapshot takes
+		// the write lock: exporting state settles accounting.
 		{"POST", "/snapshot", lockWrite, s.postSnapshot},
 		{"POST", "/restore", lockWrite, s.postRestore},
 		{"GET", "/journal", lockRead, s.getJournal},
@@ -172,59 +161,22 @@ func (s *Server) apiRoutes() []route {
 	}
 }
 
-// Handler returns the API mux: the v1 table under /api/v1/, legacy
-// /api/... 308 redirects, and the unversioned operational surface
-// (/metrics, /debug/pprof/) which skips the server lock — the registry
-// reads through the same atomics the writers use.
+// Handler returns the API mux: the v1 table under /api/v1/ and the
+// unversioned operational surface (/metrics, /debug/pprof/) which
+// skips the server lock — the registry reads through the same atomics
+// the writers use.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mountRoutes(mux, s.apiRoutes(), s.wrap)
-	mux.HandleFunc("GET /metrics", s.getMetrics)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
+	return newMux(s.apiRoutes(), &s.mu, s.rootSpan, s.getMetrics)
 }
 
-// wrap applies the route's lock mode. Both lock paths re-check the
-// request context after acquiring: a client that gave up while queued
-// behind a long advance gets the 499 envelope instead of a handler
-// run it will never read.
-func (s *Server) wrap(lock lockMode, h http.HandlerFunc) http.HandlerFunc {
-	switch lock {
-	case lockRead:
-		return func(w http.ResponseWriter, r *http.Request) {
-			s.mu.RLock()
-			defer s.mu.RUnlock()
-			if err := r.Context().Err(); err != nil {
-				writeErr(w, StatusClientClosedRequest, err)
-				return
-			}
-			h(w, r)
-		}
-	case lockWrite:
-		return func(w http.ResponseWriter, r *http.Request) {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			if err := r.Context().Err(); err != nil {
-				writeErr(w, StatusClientClosedRequest, err)
-				return
-			}
-			// Root the command span at the request ID: the journal
-			// entry this handler records (and every trace event its
-			// effects emit) will carry it, joining the access log to
-			// the trace.
-			if s.sess != nil {
-				if id := RequestID(r); id != "" {
-					s.sess.SetSpan(id)
-				}
-			}
-			h(w, r)
-		}
+// rootSpan runs under the write lock before every mutating route: it
+// roots the command span at the request ID, so the journal entry the
+// handler records (and every trace event its effects emit) carries it,
+// joining the access log to the trace.
+func (s *Server) rootSpan(r *http.Request) {
+	if id := RequestID(r); id != "" {
+		s.sess.Load().SetSpan(id)
 	}
-	return h
 }
 
 // DTOs.
@@ -251,7 +203,7 @@ type topologyDTO struct {
 }
 
 func (s *Server) getTopology(w http.ResponseWriter, _ *http.Request) {
-	topo := s.mgr.Topology()
+	topo := s.Manager().Topology()
 	out := topologyDTO{Name: topo.Name}
 	for _, c := range topo.Components() {
 		out.Components = append(out.Components, componentDTO{
@@ -283,7 +235,7 @@ type reportDTO struct {
 }
 
 func (s *Server) getReport(w http.ResponseWriter, _ *http.Request) {
-	rep := s.mgr.Monitor().UsageReport()
+	rep := s.Manager().Monitor().UsageReport()
 	out := reportDTO{
 		VirtualTimeNs: int64(rep.At),
 		Tenants:       make(map[string]map[string]float64),
@@ -315,7 +267,7 @@ func (s *Server) getReport(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) getAlerts(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.mgr.Monitor().Alerts())
+	writeJSON(w, http.StatusOK, s.Manager().Monitor().Alerts())
 }
 
 func (s *Server) getDetections(w http.ResponseWriter, _ *http.Request) {
@@ -330,7 +282,7 @@ func (s *Server) getDetections(w http.ResponseWriter, _ *http.Request) {
 		Suspects []suspectDTO `json:"suspects"`
 	}
 	var out []detectionDTO
-	for _, d := range s.mgr.Anomaly().Detections() {
+	for _, d := range s.Manager().Anomaly().Detections() {
 		dd := detectionDTO{AtNs: int64(d.At), Pair: d.Pair.String(), Lost: d.Lost}
 		for _, su := range d.Suspects {
 			dd.Suspects = append(dd.Suspects, suspectDTO{Link: string(su.Link), Score: su.Score})
@@ -359,11 +311,12 @@ type viewDTO struct {
 	LinksBps map[string]float64 `json:"guaranteed_links_bps"`
 }
 
-func (s *Server) postTenant(w http.ResponseWriter, r *http.Request) {
+// decodeAdmit reads an admission body — the tenant and its targets —
+// the shape POST /tenants and POST /fleet/tenants share.
+func decodeAdmit(r *http.Request) (string, []intent.Target, error) {
 	var req admitDTO
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return "", nil, err
 	}
 	targets := make([]intent.Target, 0, len(req.Targets))
 	for _, t := range req.Targets {
@@ -374,34 +327,36 @@ func (s *Server) postTenant(w http.ResponseWriter, r *http.Request) {
 			MaxLatency: simtime.Duration(t.MaxLatNs),
 		})
 	}
-	var view *vnet.View
-	var err error
-	if s.sess != nil {
-		view, err = s.sess.Admit(req.Tenant, targets)
-	} else {
-		view, err = s.mgr.Admit(fabric.TenantID(req.Tenant), targets)
-	}
-	if err != nil {
-		writeErr(w, http.StatusConflict, err)
-		return
-	}
-	out := viewDTO{Tenant: string(view.Tenant), Host: view.HostName,
+	return req.Tenant, targets, nil
+}
+
+// newViewDTO encodes an admitted tenant's view as placed on host.
+func newViewDTO(view *vnet.View, host string) viewDTO {
+	out := viewDTO{Tenant: string(view.Tenant), Host: host,
 		LinksBps: make(map[string]float64)}
 	for l, rate := range view.Reservation.Links {
 		out.LinksBps[string(l)] = float64(rate)
 	}
-	writeJSON(w, http.StatusCreated, out)
+	return out
+}
+
+func (s *Server) postTenant(w http.ResponseWriter, r *http.Request) {
+	tenant, targets, err := decodeAdmit(r)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	view, err := s.sess.Load().Admit(tenant, targets)
+	if err != nil {
+		writeErr(w, http.StatusConflict, err)
+		return
+	}
+	writeJSON(w, http.StatusCreated, newViewDTO(view, view.HostName))
 }
 
 func (s *Server) deleteTenant(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	var err error
-	if s.sess != nil {
-		err = s.sess.Evict(id)
-	} else {
-		err = s.mgr.Evict(fabric.TenantID(id))
-	}
-	if err != nil {
+	if err := s.sess.Load().Evict(id); err != nil {
 		writeErr(w, http.StatusNotFound, err)
 		return
 	}
@@ -414,7 +369,7 @@ func (s *Server) getTenants(w http.ResponseWriter, _ *http.Request) {
 		Targets []string `json:"targets"`
 	}
 	out := []tenantDTO{}
-	for _, t := range s.mgr.Tenants() {
+	for _, t := range s.Manager().Tenants() {
 		td := tenantDTO{ID: string(t.ID)}
 		for _, target := range t.Targets {
 			td.Targets = append(td.Targets, target.String())
@@ -424,80 +379,57 @@ func (s *Server) getTenants(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-func (s *Server) postAdvance(w http.ResponseWriter, r *http.Request) {
+// decodeMicros reads an advance body, {"micros":N}, and bounds N to
+// (0, 1e7] — at most 10 s of virtual time per request.
+func decodeMicros(r *http.Request) (simtime.Duration, error) {
 	var req struct {
 		Micros int64 `json:"micros"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return 0, err
 	}
 	if req.Micros <= 0 || req.Micros > 10_000_000 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("micros must be in (0, 1e7]"))
+		return 0, fmt.Errorf("micros must be in (0, 1e7]")
+	}
+	return simtime.Duration(req.Micros) * simtime.Microsecond, nil
+}
+
+func (s *Server) postAdvance(w http.ResponseWriter, r *http.Request) {
+	total, err := decodeMicros(r)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	// Advance in millisecond slices, checking for client cancellation
 	// between them: a long advance aborts with the 499 envelope
-	// instead of a partial body. Sliced session advances coalesce in
-	// the journal, so replay semantics are unchanged.
-	total := simtime.Duration(req.Micros) * simtime.Microsecond
+	// instead of a partial body. Sliced advances coalesce in the
+	// journal, so replay semantics are unchanged.
+	sess := s.sess.Load()
 	for done := simtime.Duration(0); done < total; {
 		if err := r.Context().Err(); err != nil {
 			writeErr(w, StatusClientClosedRequest, err)
 			return
 		}
 		step := min(simtime.Millisecond, total-done)
-		if s.sess != nil {
-			if err := s.sess.Advance(step); err != nil {
-				writeErr(w, http.StatusInternalServerError, err)
-				return
-			}
-		} else {
-			s.mgr.RunFor(step)
+		if err := sess.Advance(step); err != nil {
+			writeErr(w, http.StatusInternalServerError, err)
+			return
 		}
 		done += step
 	}
-	writeJSON(w, http.StatusOK, map[string]int64{"virtual_time_ns": int64(s.mgr.Engine().Now())})
+	writeJSON(w, http.StatusOK, map[string]int64{"virtual_time_ns": int64(sess.Now())})
 }
 
-// driveProbe advances virtual time in bounded slices until the probe
-// callback fires, aborting between slices when the client goes away.
-func (s *Server) driveProbe(r *http.Request, done *bool) error {
-	for i := 0; i < 1000 && !*done; i++ {
-		if err := r.Context().Err(); err != nil {
-			return err
-		}
-		s.mgr.RunFor(10 * simtime.Microsecond)
-	}
-	return nil
-}
+// The diagnostic probes below are journaled commands: each runs to
+// completion inside the session, bounded in virtual time, so replay
+// re-runs exactly the probe the client saw.
 
 func (s *Server) getPing(w http.ResponseWriter, r *http.Request) {
-	src := topology.CompID(r.URL.Query().Get("src"))
-	dst := topology.CompID(r.URL.Query().Get("dst"))
-	var rep diag.PingReport
-	if s.sess != nil {
-		var err error
-		if rep, err = s.sess.Ping(string(src), string(dst)); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-	} else {
-		done := false
-		_, err := diag.StartPing(s.mgr.Fabric(), src, dst, diag.DefaultPingOptions(),
-			func(pr diag.PingReport) { rep, done = pr, true })
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		if err := s.driveProbe(r, &done); err != nil {
-			writeErr(w, StatusClientClosedRequest, err)
-			return
-		}
-		if !done {
-			writeErr(w, http.StatusInternalServerError, fmt.Errorf("ping did not complete"))
-			return
-		}
+	q := r.URL.Query()
+	rep, err := s.sess.Load().Ping(q.Get("src"), q.Get("dst"))
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"report": rep.String(),
@@ -509,31 +441,11 @@ func (s *Server) getPing(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) getTrace(w http.ResponseWriter, r *http.Request) {
-	src := topology.CompID(r.URL.Query().Get("src"))
-	dst := topology.CompID(r.URL.Query().Get("dst"))
-	var rep diag.TraceReport
-	if s.sess != nil {
-		var err error
-		if rep, err = s.sess.Trace(string(src), string(dst)); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-	} else {
-		done := false
-		_, err := diag.StartTrace(s.mgr.Fabric(), src, dst, 64,
-			func(tr diag.TraceReport) { rep, done = tr, true })
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		if err := s.driveProbe(r, &done); err != nil {
-			writeErr(w, StatusClientClosedRequest, err)
-			return
-		}
-		if !done {
-			writeErr(w, http.StatusInternalServerError, fmt.Errorf("trace did not complete"))
-			return
-		}
+	q := r.URL.Query()
+	rep, err := s.sess.Load().Trace(q.Get("src"), q.Get("dst"))
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
 	}
 	type hopDTO struct {
 		Link  string `json:"link"`
@@ -550,33 +462,11 @@ func (s *Server) getTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) getPerf(w http.ResponseWriter, r *http.Request) {
-	src := topology.CompID(r.URL.Query().Get("src"))
-	dst := topology.CompID(r.URL.Query().Get("dst"))
-	tenant := fabric.TenantID(r.URL.Query().Get("tenant"))
-	var rep diag.PerfReport
-	if s.sess != nil {
-		var err error
-		if rep, err = s.sess.Perf(string(src), string(dst), string(tenant)); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-	} else {
-		done := false
-		_, err := diag.StartPerf(s.mgr.Fabric(), src, dst, diag.PerfOptions{
-			Duration: 200 * simtime.Microsecond, Tenant: tenant,
-		}, func(pr diag.PerfReport) { rep, done = pr, true })
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		if err := s.driveProbe(r, &done); err != nil {
-			writeErr(w, StatusClientClosedRequest, err)
-			return
-		}
-		if !done {
-			writeErr(w, http.StatusInternalServerError, fmt.Errorf("perf did not complete"))
-			return
-		}
+	q := r.URL.Query()
+	rep, err := s.sess.Load().Perf(q.Get("src"), q.Get("dst"), q.Get("tenant"))
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"report":            rep.String(),
@@ -588,7 +478,7 @@ func (s *Server) getPerf(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) getVerify(w http.ResponseWriter, r *http.Request) {
 	id := fabric.TenantID(r.PathValue("id"))
-	vs, err := s.mgr.VerifyTenant(id)
+	vs, err := s.Manager().VerifyTenant(id)
 	if err != nil {
 		writeErr(w, http.StatusNotFound, err)
 		return
@@ -614,7 +504,7 @@ func (s *Server) getVerify(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) getTenantUsage(w http.ResponseWriter, r *http.Request) {
 	id := fabric.TenantID(r.PathValue("id"))
-	rec := s.mgr.Tenant(id)
+	rec := s.Manager().Tenant(id)
 	if rec == nil {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown tenant %q", id))
 		return
@@ -626,7 +516,7 @@ func (s *Server) getTenantUsage(w http.ResponseWriter, r *http.Request) {
 		Utilization  float64 `json:"utilization"`
 	}
 	var out []usageDTO
-	for _, lu := range rec.View.UsageReport(s.mgr.Fabric()) {
+	for _, lu := range rec.View.UsageReport(s.Manager().Fabric()) {
 		out = append(out, usageDTO{
 			Link: string(lu.Link), AllocatedBps: float64(lu.Allocated),
 			UsedBps: float64(lu.Used), Utilization: lu.Utilization,
@@ -636,7 +526,7 @@ func (s *Server) getTenantUsage(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) getTelemetry(w http.ResponseWriter, r *http.Request) {
-	pl := s.mgr.Telemetry()
+	pl := s.Manager().Telemetry()
 	if pl == nil {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("telemetry pipeline disabled"))
 		return
@@ -697,7 +587,7 @@ func (s *Server) getTelemetry(w http.ResponseWriter, r *http.Request) {
 // exposition format. Lock-free with respect to the simulation.
 func (s *Server) getMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.mgr.Obs().Registry.WritePrometheus(w)
+	_ = s.Manager().Obs().Registry.WritePrometheus(w)
 }
 
 type traceEventDTO struct {
@@ -722,7 +612,7 @@ type traceEventDTO struct {
 // params: kind= filters by event kind name, limit= keeps only the
 // newest N matching events.
 func (s *Server) getTraceEvents(w http.ResponseWriter, r *http.Request) {
-	tr := s.mgr.Obs().Tracer
+	tr := s.Manager().Obs().Tracer
 	q := r.URL.Query()
 	var kindFilter obs.EventKind
 	if v := q.Get("kind"); v != "" {
@@ -765,8 +655,7 @@ func (s *Server) getTraceEvents(w http.ResponseWriter, r *http.Request) {
 
 // getEvents streams the host's live event bus as server-sent events.
 // lockNone: the bus synchronizes on its own and a stalled client must
-// never hold a server lock. Manager() is re-read (not s.mgr directly)
-// because a concurrent restore swaps it.
+// never hold a server lock.
 func (s *Server) getEvents(w http.ResponseWriter, r *http.Request) {
 	streamSSE(w, r, s.Manager().Obs().Bus)
 }
@@ -784,7 +673,9 @@ func buildVersion() string {
 // coarse observability counts, and a per-subsystem status map. Runs
 // under the server lock because it reads simulation state.
 func (s *Server) getHealthz(w http.ResponseWriter, _ *http.Request) {
-	o := s.mgr.Obs()
+	sess := s.sess.Load()
+	mgr := sess.Manager()
+	o := mgr.Obs()
 	goVersion := runtime.Version()
 	module, vcsRev := "", ""
 	if bi, ok := debug.ReadBuildInfo(); ok {
@@ -799,40 +690,27 @@ func (s *Server) getHealthz(w http.ResponseWriter, _ *http.Request) {
 	// remediation incident flips the top-level status, so `ihctl
 	// health` (which exits non-zero on anything but "ok") is a usable
 	// fleet-automation probe.
-	anomalyAlerted := s.mgr.Anomaly().Alerted()
-	remedyDegraded := s.rem != nil && s.rem.Degraded()
+	anomalyAlerted := mgr.Anomaly().Alerted()
+	remedyBlock, remedyDegraded := remedyHealth(s.controller())
 	subsystems := map[string]any{
 		"fabric": map[string]any{
 			"status":       "ok",
-			"active_flows": s.mgr.Fabric().Flows(),
+			"active_flows": mgr.Fabric().Flows(),
 		},
 		"snap": map[string]any{
-			"status":  boolStatus(s.sess != nil, "ok", "disabled"),
-			"enabled": s.sess != nil,
+			"status":          "ok",
+			"enabled":         true,
+			"journal_entries": sess.Journal().Len(),
 		},
 		"telemetry": map[string]any{
-			"status": boolStatus(s.mgr.Telemetry() != nil, "ok", "disabled"),
+			"status": boolStatus(mgr.Telemetry() != nil, "ok", "disabled"),
 		},
-		"obs_bus": map[string]any{
-			"status":      "ok",
-			"subscribers": o.Bus.Subscribers(),
-			"published":   o.Bus.Seq(),
-			"dropped":     o.Bus.Dropped(),
-		},
+		"obs_bus": busHealth(o.Bus),
 		"anomaly": map[string]any{
 			"status":     boolStatus(!anomalyAlerted, "ok", "degraded"),
-			"detections": s.mgr.Anomaly().DetectionCount(),
+			"detections": mgr.Anomaly().DetectionCount(),
 		},
-	}
-	if s.rem != nil {
-		st := s.rem.Stats()
-		subsystems["remedy"] = map[string]any{
-			"status":         boolStatus(!remedyDegraded, "ok", "degraded"),
-			"open_incidents": st.Open,
-			"resolved":       st.Resolved,
-		}
-	} else {
-		subsystems["remedy"] = map[string]any{"status": "disabled"}
+		"remedy": remedyBlock,
 	}
 	if s.store != nil {
 		st := s.store.Stats()
@@ -847,9 +725,6 @@ func (s *Server) getHealthz(w http.ResponseWriter, _ *http.Request) {
 	} else {
 		subsystems["store"] = map[string]any{"status": "disabled"}
 	}
-	if s.sess != nil {
-		subsystems["snap"].(map[string]any)["journal_entries"] = s.sess.Journal().Len()
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":           boolStatus(!anomalyAlerted && !remedyDegraded, "ok", "degraded"),
 		"version":          buildVersion(),
@@ -857,15 +732,25 @@ func (s *Server) getHealthz(w http.ResponseWriter, _ *http.Request) {
 		"module":           module,
 		"vcs_revision":     vcsRev,
 		"uptime_seconds":   time.Since(s.started).Seconds(),
-		"virtual_time_ns":  int64(s.mgr.Engine().Now()),
-		"events_processed": s.mgr.Engine().Processed,
+		"virtual_time_ns":  int64(mgr.Engine().Now()),
+		"events_processed": mgr.Engine().Processed,
 		"metric_count":     o.Registry.MetricCount(),
 		"trace_events":     o.Tracer.Total(),
 		"trace_dropped":    o.Tracer.Dropped(),
-		"active_flows":     s.mgr.Fabric().Flows(),
-		"tenants":          len(s.mgr.Tenants()),
+		"active_flows":     mgr.Fabric().Flows(),
+		"tenants":          len(mgr.Tenants()),
 		"subsystems":       subsystems,
 	})
+}
+
+// busHealth is the obs_bus block of both servers' healthz.
+func busHealth(b *obs.Bus) map[string]any {
+	return map[string]any{
+		"status":      "ok",
+		"subscribers": b.Subscribers(),
+		"published":   b.Seq(),
+		"dropped":     b.Dropped(),
+	}
 }
 
 // boolStatus maps a condition to one of two status strings.
@@ -876,20 +761,23 @@ func boolStatus(ok bool, yes, no string) string {
 	return no
 }
 
-// errNoSession is returned by the checkpoint endpoints on servers
-// built with New instead of NewWithSession.
-var errNoSession = fmt.Errorf("journaling not enabled: server was started without a snap session")
+// errNoSession is returned by the per-host checkpoint endpoints for
+// fleet hosts built without a snap session.
+var errNoSession = fmt.Errorf("journaling not enabled: host was built without a snap session")
 
 // postSnapshot writes a checkpoint of the live session as the response
 // body — a complete ihnet-snapshot document the client can save and
-// later POST to /api/restore or feed to `ihdiag replay`.
+// later POST to /api/v1/restore or feed to `ihdiag replay`.
 func (s *Server) postSnapshot(w http.ResponseWriter, _ *http.Request) {
-	if s.sess == nil {
-		writeErr(w, http.StatusNotFound, errNoSession)
-		return
-	}
-	if s.store != nil {
-		info, err := s.store.SaveSnapshot(s.sess.BuildPayload())
+	writeSnapshot(w, s.sess.Load(), s.store, "ihnet-snapshot.json")
+}
+
+// writeSnapshot is the snapshot response both servers share. With a
+// store attached the checkpoint is persisted first, and the X-Store-*
+// headers report what it cost.
+func writeSnapshot(w http.ResponseWriter, sess *snap.Session, st *store.Store, filename string) {
+	if st != nil {
+		info, err := st.SaveSnapshot(sess.BuildPayload())
 		if err != nil {
 			writeErr(w, http.StatusInternalServerError, fmt.Errorf("persist checkpoint: %w", err))
 			return
@@ -899,8 +787,8 @@ func (s *Server) postSnapshot(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("X-Store-Chunks-Reused", strconv.Itoa(info.ChunksReused))
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Disposition", `attachment; filename="ihnet-snapshot.json"`)
-	if err := s.sess.Snapshot(w); err != nil {
+	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", filename))
+	if err := sess.Snapshot(w); err != nil {
 		// Headers are gone; the truncated body will fail checksum
 		// verification client-side, which is the protection we want.
 		fmt.Fprintf(w, "\n{\"error\": %q}\n", err.Error())
@@ -912,10 +800,6 @@ func (s *Server) postSnapshot(w http.ResponseWriter, _ *http.Request) {
 // replayed state verifies against the recorded hash, the old session
 // keeps serving.
 func (s *Server) postRestore(w http.ResponseWriter, r *http.Request) {
-	if s.sess == nil {
-		writeErr(w, http.StatusNotFound, errNoSession)
-		return
-	}
 	restored, err := snap.Restore(r.Body)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
@@ -931,9 +815,7 @@ func (s *Server) postRestore(w http.ResponseWriter, r *http.Request) {
 		}
 		s.store.Resume(restored)
 	}
-	s.sess.Manager().Stop()
-	s.sess = restored
-	s.mgr = restored.Manager()
+	s.sess.Swap(restored).Manager().Stop()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"restored":        true,
 		"virtual_time_ns": int64(restored.Now()),
@@ -946,29 +828,33 @@ func (s *Server) postRestore(w http.ResponseWriter, r *http.Request) {
 // context (virtual time, journal length, store occupancy) for the e2e
 // harness to assert byte-identical recovery after a kill/restart.
 func (s *Server) getStateHash(w http.ResponseWriter, _ *http.Request) {
-	out := map[string]any{
-		"state_hash":      snap.StateHash(s.mgr),
-		"virtual_time_ns": int64(s.mgr.Engine().Now()),
-	}
-	if s.sess != nil {
-		out["journal_entries"] = s.sess.Journal().Len()
-	}
+	sess := s.sess.Load()
+	out := map[string]any{"journal_entries": sess.Journal().Len()}
 	if s.store != nil {
 		st := s.store.Stats()
 		out["store_wal_records"] = st.WalRecords
 		out["store_snapshot_seq"] = st.SnapshotSeq
 	}
+	writeStateHash(w, sess.Manager(), out)
+}
+
+// writeStateHash is the state-hash response both servers share: out,
+// plus the host's canonical fingerprint and virtual clock.
+func writeStateHash(w http.ResponseWriter, mgr *core.Manager, out map[string]any) {
+	out["state_hash"] = snap.StateHash(mgr)
+	out["virtual_time_ns"] = int64(mgr.Engine().Now())
 	writeJSON(w, http.StatusOK, out)
 }
 
 // getJournal serves the recorded command log.
 func (s *Server) getJournal(w http.ResponseWriter, _ *http.Request) {
-	if s.sess == nil {
-		writeErr(w, http.StatusNotFound, errNoSession)
-		return
-	}
-	j := s.sess.Journal()
+	writeJournal(w, s.sess.Load())
+}
+
+// writeJournal is the journal response both servers share.
+func writeJournal(w http.ResponseWriter, sess *snap.Session) {
 	w.Header().Set("Content-Type", "application/json")
+	j := sess.Journal()
 	_ = j.Encode(w)
 }
 

@@ -12,7 +12,6 @@ import (
 	"repro/internal/remedy"
 	"repro/internal/simtime"
 	"repro/internal/snap"
-	"repro/internal/topology"
 )
 
 // putJSON issues a PUT with a JSON body and decodes the response.
@@ -129,23 +128,15 @@ func TestRemedyStatusAndHealthz(t *testing.T) {
 // TestRemedyPolicyCRUD: read the default policy, replace it, reject a
 // bad table.
 func TestRemedyPolicyCRUD(t *testing.T) {
-	mgr, err := core.New(topology.TwoSocketServer(), core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mgr.Start(); err != nil {
-		t.Fatal(err)
-	}
-	s := New(mgr)
-	ctrl, err := remedy.New(mgr, remedy.ManagerActuator{Mgr: mgr},
+	s, ts := newServer(t)
+	sess := s.sess.Load()
+	ctrl, err := remedy.New(sess.Manager(), remedy.SessionActuator{Sess: sess},
 		remedy.Options{Policy: remedy.DefaultPolicy()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ctrl.Close()
 	s.SetRemedy(ctrl)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
 
 	var pol remedy.Policy
 	if code := getJSON(t, ts.URL+"/api/v1/remedy/policy", &pol); code != 200 {

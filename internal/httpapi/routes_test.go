@@ -8,9 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/fleet"
-	"repro/internal/topology"
 )
 
 // TestAllRoutesVersioned walks both route tables (single-host and
@@ -18,12 +16,9 @@ import (
 // under /api/v1/, patterns are well-formed, and no method+path pair is
 // registered twice.
 func TestAllRoutesVersioned(t *testing.T) {
-	mgr, err := core.New(topology.TwoSocketServer(), core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := newServer(t)
 	tables := map[string][]route{
-		"host":  New(mgr).apiRoutes(),
+		"host":  s.apiRoutes(),
 		"fleet": NewFleetServer(fleet.New(), fleet.ShardConfig{}).apiRoutes(),
 	}
 	for name, routes := range tables {
@@ -47,58 +42,6 @@ func TestAllRoutesVersioned(t *testing.T) {
 				t.Errorf("%s: route %s has no handler", name, key)
 			}
 		}
-	}
-}
-
-// TestLegacyRedirects hits the pre-v1 path of every wildcard-free
-// route with a non-following client and checks the 308 contract:
-// Location points at the /api/v1/ successor, the query survives, and
-// the deprecation headers are present.
-func TestLegacyRedirects(t *testing.T) {
-	s, ts := newServer(t)
-	noFollow := &http.Client{
-		CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
-	}
-	for _, rt := range s.apiRoutes() {
-		if strings.Contains(rt.Pattern, "{") {
-			continue
-		}
-		legacy := "/api" + rt.Pattern + "?probe=1"
-		req, err := http.NewRequest(rt.Method, ts.URL+legacy, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := noFollow.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusPermanentRedirect {
-			t.Errorf("%s %s: status %d, want 308", rt.Method, legacy, resp.StatusCode)
-			continue
-		}
-		want := rt.Path() + "?probe=1"
-		if loc := resp.Header.Get("Location"); loc != want {
-			t.Errorf("%s %s: Location %q, want %q", rt.Method, legacy, loc, want)
-		}
-		if resp.Header.Get("Deprecation") != "true" {
-			t.Errorf("%s %s: missing Deprecation header", rt.Method, legacy)
-		}
-	}
-}
-
-// TestLegacyRedirectResolves follows a legacy path end-to-end: the
-// default client traverses the 308 and lands on the live v1 handler.
-func TestLegacyRedirectResolves(t *testing.T) {
-	_, ts := newServer(t)
-	var topo struct {
-		Name string `json:"name"`
-	}
-	if code := getJSON(t, ts.URL+"/api/topology", &topo); code != http.StatusOK {
-		t.Fatalf("legacy /api/topology resolved with %d", code)
-	}
-	if topo.Name == "" {
-		t.Fatal("legacy redirect lost the response body")
 	}
 }
 
@@ -127,9 +70,9 @@ func TestErrorEnvelope(t *testing.T) {
 		{"POST", "/api/v1/advance", `{"micros":-5}`, http.StatusBadRequest, CodeBadRequest},
 		{"GET", "/api/v1/tenants/ghost/verify", "", http.StatusNotFound, CodeNotFound},
 		{"DELETE", "/api/v1/tenants/ghost", "", http.StatusNotFound, CodeNotFound},
-		{"POST", "/api/v1/snapshot", "", http.StatusNotFound, CodeNotFound}, // no session
 		{"GET", "/api/v1/no-such-endpoint", "", http.StatusNotFound, CodeNotFound},
 		{"GET", "/definitely-not-api", "", http.StatusNotFound, CodeNotFound},
+		{"GET", "/api/topology", "", http.StatusNotFound, CodeNotFound}, // pre-v1 path
 	}
 	for _, tc := range cases {
 		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))

@@ -7,23 +7,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/snap"
 )
-
-func newSessionServer(t *testing.T) (*Server, *httptest.Server) {
-	t.Helper()
-	sess, err := snap.NewSession(snap.Config{Preset: "two-socket", Options: core.DefaultOptions()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewWithSession(sess)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return s, ts
-}
 
 func postJSON(t *testing.T, url, body string, out any) int {
 	t.Helper()
@@ -44,17 +32,17 @@ func postJSON(t *testing.T, url, body string, out any) int {
 // advance, checkpoint, keep going, then roll back to the checkpoint
 // and confirm the server is serving the earlier state.
 func TestSnapshotRestoreOverHTTP(t *testing.T) {
-	_, ts := newSessionServer(t)
+	_, ts := newServer(t)
 
-	if code := postJSON(t, ts.URL+"/api/tenants",
+	if code := postJSON(t, ts.URL+"/api/v1/tenants",
 		`{"tenant":"kv","targets":[{"src":"nic0","dst":"socket0.dimm0_0","rate_gbps":40}]}`, nil); code != 201 {
 		t.Fatalf("admit status %d", code)
 	}
-	if code := postJSON(t, ts.URL+"/api/advance", `{"micros":500}`, nil); code != 200 {
+	if code := postJSON(t, ts.URL+"/api/v1/advance", `{"micros":500}`, nil); code != 200 {
 		t.Fatalf("advance status %d", code)
 	}
 
-	resp, err := http.Post(ts.URL+"/api/snapshot", "application/json", nil)
+	resp, err := http.Post(ts.URL+"/api/v1/snapshot", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +58,7 @@ func TestSnapshotRestoreOverHTTP(t *testing.T) {
 	checkpointNs := p.VirtualTimeNs
 
 	// Move past the checkpoint, then restore back to it.
-	if code := postJSON(t, ts.URL+"/api/advance", `{"micros":700}`, nil); code != 200 {
+	if code := postJSON(t, ts.URL+"/api/v1/advance", `{"micros":700}`, nil); code != 200 {
 		t.Fatal("advance failed")
 	}
 	var restored struct {
@@ -78,7 +66,7 @@ func TestSnapshotRestoreOverHTTP(t *testing.T) {
 		VirtualTimeNs int64  `json:"virtual_time_ns"`
 		StateHash     string `json:"state_hash"`
 	}
-	resp, err = http.Post(ts.URL+"/api/restore", "application/json", bytes.NewReader(snapBytes))
+	resp, err = http.Post(ts.URL+"/api/v1/restore", "application/json", bytes.NewReader(snapBytes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +88,11 @@ func TestSnapshotRestoreOverHTTP(t *testing.T) {
 	var tenants []struct {
 		ID string `json:"id"`
 	}
-	if code := getJSON(t, ts.URL+"/api/tenants", &tenants); code != 200 || len(tenants) != 1 || tenants[0].ID != "kv" {
+	if code := getJSON(t, ts.URL+"/api/v1/tenants", &tenants); code != 200 || len(tenants) != 1 || tenants[0].ID != "kv" {
 		t.Fatalf("tenants after restore: %+v", tenants)
 	}
 	var j snap.Journal
-	if code := getJSON(t, ts.URL+"/api/journal", &j); code != 200 {
+	if code := getJSON(t, ts.URL+"/api/v1/journal", &j); code != 200 {
 		t.Fatal("journal fetch failed")
 	}
 	if err := j.Validate(); err != nil {
@@ -118,13 +106,13 @@ func TestSnapshotRestoreOverHTTP(t *testing.T) {
 // TestRestoreRejectsCorruption: a tampered snapshot must leave the
 // live session untouched.
 func TestRestoreRejectsCorruption(t *testing.T) {
-	srv, ts := newSessionServer(t)
-	if code := postJSON(t, ts.URL+"/api/advance", `{"micros":100}`, nil); code != 200 {
+	srv, ts := newServer(t)
+	if code := postJSON(t, ts.URL+"/api/v1/advance", `{"micros":100}`, nil); code != 200 {
 		t.Fatal("advance failed")
 	}
-	before := snap.StateHash(srv.mgr)
+	before := snap.StateHash(srv.Manager())
 
-	resp, err := http.Post(ts.URL+"/api/snapshot", "application/json", nil)
+	resp, err := http.Post(ts.URL+"/api/v1/snapshot", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +124,7 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 		t.Fatal("checksum field not found in snapshot")
 	}
 
-	resp, err = http.Post(ts.URL+"/api/restore", "application/json", bytes.NewReader(bad))
+	resp, err = http.Post(ts.URL+"/api/v1/restore", "application/json", bytes.NewReader(bad))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,34 +133,20 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("corrupted restore returned %d", resp.StatusCode)
 	}
-	if got := snap.StateHash(srv.mgr); got != before {
+	if got := snap.StateHash(srv.Manager()); got != before {
 		t.Fatal("failed restore mutated the live session")
-	}
-}
-
-// TestSnapshotWithoutSession: plain servers 404 the checkpoint
-// surface.
-func TestSnapshotWithoutSession(t *testing.T) {
-	_, ts := newServer(t)
-	for _, ep := range []string{"/api/snapshot", "/api/restore"} {
-		if code := postJSON(t, ts.URL+ep, "", nil); code != http.StatusNotFound {
-			t.Errorf("%s without session: status %d", ep, code)
-		}
-	}
-	if code := getJSON(t, ts.URL+"/api/journal", nil); code != http.StatusNotFound {
-		t.Errorf("/api/journal without session: status %d", code)
 	}
 }
 
 // TestJournaledDiagProbe: diagnostics through a session server land in
 // the journal (they advance time and inject traffic).
 func TestJournaledDiagProbe(t *testing.T) {
-	_, ts := newSessionServer(t)
-	if code := getJSON(t, ts.URL+"/api/diag/ping?src=gpu0&dst=socket0.dimm0_0", nil); code != 200 {
+	_, ts := newServer(t)
+	if code := getJSON(t, ts.URL+"/api/v1/diag/ping?src=gpu0&dst=socket0.dimm0_0", nil); code != 200 {
 		t.Fatalf("ping status %d", code)
 	}
 	var j snap.Journal
-	if code := getJSON(t, ts.URL+"/api/journal", &j); code != 200 {
+	if code := getJSON(t, ts.URL+"/api/v1/journal", &j); code != 200 {
 		t.Fatal("journal fetch failed")
 	}
 	found := false
@@ -184,4 +158,48 @@ func TestJournaledDiagProbe(t *testing.T) {
 	if !found {
 		t.Fatalf("ping not journaled: %+v", j.Entries)
 	}
+}
+
+// TestRestoreDuringLockFreeReads: /metrics, the trace dump and the
+// event stream read the live session without the server lock, while
+// POST /restore swaps it under the write lock. Run with -race.
+func TestRestoreDuringLockFreeReads(t *testing.T) {
+	s, _ := newServer(t)
+	h := s.Handler()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/api/v1/snapshot", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("snapshot status %d", rec.Code)
+	}
+	checkpoint := rec.Body.Bytes()
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			for _, path := range []string{"/metrics", "/api/v1/trace/events?limit=1"} {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+				if rec.Code != http.StatusOK {
+					t.Errorf("GET %s during restore: status %d", path, rec.Code)
+				}
+			}
+		}
+	}()
+	for i := 0; i < 3; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/api/v1/restore", bytes.NewReader(checkpoint)))
+		if rec.Code != http.StatusOK {
+			t.Errorf("restore %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+	}
+	close(done)
+	wg.Wait()
 }

@@ -31,9 +31,10 @@ bench:
 
 # Quick sanity pass over the benchmarks that guard the hot paths: the
 # observability tax on fabric scheduling, the snapshot round-trip
-# (export + encode + decode + replay + verify), the fleet runner's
-# serial-vs-parallel speedup at 64 hosts, and the observability
-# pipeline (zero-alloc bus publish, flat-per-host fleet roll-up).
+# (export + encode + decode + replay + verify), the fleet engine's
+# one-worker vs GOMAXPROCS-worker speedup at 64 hosts, and the
+# observability pipeline (zero-alloc bus publish, flat-per-host fleet
+# roll-up).
 bench-smoke:
 	$(GO) test -bench BenchmarkObsFabricHotPath -benchtime 1x -run '^$$' .
 	$(GO) test -bench BenchmarkSnapshotRoundTrip -benchtime 1x -run '^$$' ./internal/snap
@@ -114,10 +115,12 @@ e2ebench-test:
 # `ihscenario fuzz -replay` re-derives. Seed 3 on two-socket is the
 # schedule that exposed the read-time byte-fold nondeterminism
 # (TestStatsReadsDoNotPerturbAccounting) — kept as a standing
-# regression.
+# regression. The -fleet run drives four hosts through the fleet
+# engine with injections between epoch barriers.
 chaos-smoke:
 	$(GO) run ./cmd/ihscenario fuzz -seed 1 -seeds 3 -events 250 -dur 10ms -preset minimal -out chaos-artifacts
 	$(GO) run ./cmd/ihscenario fuzz -seed 3 -events 300 -dur 15ms -preset two-socket -out chaos-artifacts
+	$(GO) run ./cmd/ihscenario fuzz -fleet 4 -seed 7 -events 200 -dur 10ms -preset minimal -out chaos-artifacts
 
 # Chaos-vs-controller smoke: the same seeded adversary, but with the
 # closed-loop remediation controller armed. Each pinned seed must heal
@@ -129,6 +132,7 @@ remedy-smoke:
 	$(GO) run ./cmd/ihscenario fuzz -vs-controller -seed 1 -events 150 -dur 10ms -out chaos-artifacts
 	$(GO) run ./cmd/ihscenario fuzz -vs-controller -seed 7 -events 150 -dur 10ms -out chaos-artifacts
 	$(GO) run ./cmd/ihscenario fuzz -vs-controller -seed 42 -events 150 -dur 10ms -out chaos-artifacts
+	$(GO) run ./cmd/ihscenario fuzz -fleet 4 -vs-controller -seed 1 -events 150 -dur 10ms -preset minimal -out chaos-artifacts
 	$(GO) run ./cmd/ihscenario scenarios/auto-remediation-drill.json
 
 # Trajectory gate for the remediation controller: the idle control-loop

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -47,8 +48,13 @@ func main() {
 	place("ml", []intent.Target{{Src: "gpu1", Dst: "memory:socket1", Rate: topology.GBps(10)}})
 	place("scan", []intent.Target{{Src: "ssd1", Dst: "memory:socket1", Rate: topology.GBps(5)}})
 
-	// Heartbeats calibrate on both hosts.
-	fl.RunFor(3 * simtime.Millisecond)
+	// Heartbeats calibrate on both hosts; the fleet engine advances
+	// them together, epoch barrier by epoch barrier.
+	runner := fleet.NewShardedRunner(fl, fleet.ShardConfig{})
+	ctx := context.Background()
+	if _, err := runner.RunFor(ctx, 3*simtime.Millisecond); err != nil {
+		log.Fatal(err)
+	}
 
 	// Host A's switch port to nic0 silently degrades.
 	hostA := fl.Host("host-a")
@@ -56,7 +62,9 @@ func main() {
 	if err := hostA.Mgr.Fabric().DegradeLink("pcieswitch0->nic0", 0.2, 10*simtime.Microsecond); err != nil {
 		log.Fatal(err)
 	}
-	fl.RunFor(2 * simtime.Millisecond)
+	if _, err := runner.RunFor(ctx, 2*simtime.Millisecond); err != nil {
+		log.Fatal(err)
+	}
 
 	dets := hostA.Mgr.Anomaly().Detections()
 	if len(dets) == 0 {

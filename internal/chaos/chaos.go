@@ -51,9 +51,11 @@ type Config struct {
 	Preset string
 	// Mode selects the arbitration policy under test.
 	Mode arbiter.Mode
-	// Hosts > 1 runs fleet chaos over the parallel Runner.
+	// Hosts > 1 runs fleet chaos over the fleet engine
+	// (fleet.ShardedRunner).
 	Hosts int
-	// Workers is the fleet runner's worker count (fleet mode only).
+	// Workers is the fleet engine's per-shard worker count (fleet mode
+	// only).
 	Workers int
 	// Oracle tunes the invariant checker.
 	Oracle OracleConfig

@@ -22,33 +22,31 @@ func benchFleet(b *testing.B, n int) *Fleet {
 }
 
 // BenchmarkFleetRunFor measures one millisecond of fleet virtual time
-// per iteration: the serial host-by-host loop against the parallel
-// epoch-barrier runner at the classic tiers, and the sharded engine
-// at 1024 and 10000 hosts (where a single global barrier would make
-// every epoch wait on the slowest of 10k hosts). The serial/parallel
-// ratio at a given host count is the runner's speedup (the CI
-// acceptance bar is >= 4x at 64 hosts on a multi-core runner).
+// per iteration. At the classic tiers the engine runs one shard, so
+// one barrier spans the whole fleet: serial is one worker, parallel is
+// GOMAXPROCS workers, and their ratio at a given host count is the
+// worker pool's speedup (the acceptance bar is >= 4x at 64 hosts on a
+// multi-core machine). At 1024 and 10000 hosts the engine shards
+// automatically, because a single global barrier would make every
+// epoch wait on the slowest of 10k hosts.
 func BenchmarkFleetRunFor(b *testing.B) {
 	for _, hosts := range []int{16, 64, 256} {
-		b.Run(fmt.Sprintf("hosts=%d/serial", hosts), func(b *testing.B) {
-			f := benchFleet(b, hosts)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f.RunFor(simtime.Millisecond)
-			}
-			b.ReportMetric(float64(hosts)*float64(b.N)/b.Elapsed().Seconds(), "host-ms/s")
-		})
-		b.Run(fmt.Sprintf("hosts=%d/parallel", hosts), func(b *testing.B) {
-			f := benchFleet(b, hosts)
-			r := NewRunner(f, RunnerConfig{Workers: runtime.GOMAXPROCS(0)})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := r.RunFor(context.Background(), simtime.Millisecond); err != nil {
-					b.Fatal(err)
+		for _, mode := range []struct {
+			name    string
+			workers int
+		}{{"serial", 1}, {"parallel", runtime.GOMAXPROCS(0)}} {
+			b.Run(fmt.Sprintf("hosts=%d/%s", hosts, mode.name), func(b *testing.B) {
+				f := benchFleet(b, hosts)
+				sr := NewShardedRunner(f, ShardConfig{Shards: 1, Workers: mode.workers})
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := sr.RunFor(context.Background(), simtime.Millisecond); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			b.ReportMetric(float64(hosts)*float64(b.N)/b.Elapsed().Seconds(), "host-ms/s")
-		})
+				b.ReportMetric(float64(hosts)*float64(b.N)/b.Elapsed().Seconds(), "host-ms/s")
+			})
+		}
 	}
 	for _, hosts := range []int{1024, 10000} {
 		b.Run(fmt.Sprintf("hosts=%d/sharded", hosts), func(b *testing.B) {

@@ -1,6 +1,7 @@
 package fleet_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,9 +33,11 @@ func ExampleFleet_Rebalance() {
 	_, _ = hostA.Mgr.Admit("bystander", []intent.Target{
 		{Src: "gpu1", Dst: "memory:socket1", Rate: topology.GBps(5)},
 	})
-	fl.RunFor(2 * simtime.Millisecond) // calibrate heartbeats
+	runner := fleet.NewShardedRunner(fl, fleet.ShardConfig{})
+	ctx := context.Background()
+	_, _ = runner.RunFor(ctx, 2*simtime.Millisecond) // calibrate heartbeats
 	_ = hostA.Mgr.Fabric().DegradeLink("pcieswitch0->nic0", 0.2, 10*simtime.Microsecond)
-	fl.RunFor(2 * simtime.Millisecond) // detect + localize
+	_, _ = runner.RunFor(ctx, 2*simtime.Millisecond) // detect + localize
 
 	rep := fl.Rebalance()
 	fmt.Println("moved victim to:", rep.Moved["victim"])

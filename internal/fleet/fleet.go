@@ -84,21 +84,14 @@ func (h *Host) Pressure() float64 {
 // Fleet is a set of hosts under one operator.
 type Fleet struct {
 	hosts []*Host
-	// sorted records whether hosts is currently name-ordered, so the
-	// hot paths (epoch loops, roll-ups) do not re-sort 10k names on
-	// every call. AddHost invalidates it.
+	// sorted records whether hosts is currently name-ordered, so
+	// lookups over a 10k-host fleet do not re-sort every name on every
+	// call. AddHost invalidates it.
 	sorted bool
 }
 
 // New returns an empty fleet.
 func New() *Fleet { return &Fleet{} }
-
-// subFleet wraps an already name-sorted host slice as a Fleet — the
-// shard partitioning path. The slice is owned by the caller and must
-// stay name-sorted.
-func subFleet(hosts []*Host) *Fleet {
-	return &Fleet{hosts: hosts, sorted: true}
-}
 
 // AddHost registers a managed host under a unique name.
 func (f *Fleet) AddHost(name string, mgr *core.Manager) (*Host, error) {
@@ -134,18 +127,11 @@ func (f *Fleet) AddSession(name string, sess *snap.Session) (*Host, error) {
 // Hosts returns the fleet's hosts sorted by name. The returned slice
 // is the caller's to reorder (Place sorts it by pressure).
 func (f *Fleet) Hosts() []*Host {
-	return append([]*Host(nil), f.hostsSorted()...)
-}
-
-// hostsSorted returns the fleet's own host slice, name-sorted in
-// place — the allocation-free view for read-only iteration on hot
-// paths. Callers must not reorder or retain it.
-func (f *Fleet) hostsSorted() []*Host {
 	if !f.sorted {
 		sort.Slice(f.hosts, func(i, j int) bool { return f.hosts[i].Name < f.hosts[j].Name })
 		f.sorted = true
 	}
-	return f.hosts
+	return append([]*Host(nil), f.hosts...)
 }
 
 // Host returns the named host, or nil.
@@ -156,14 +142,6 @@ func (f *Fleet) Host(name string) *Host {
 		}
 	}
 	return nil
-}
-
-// RunFor advances every host's virtual clock by d. Hosts are
-// independent simulations; the fleet keeps them loosely in step.
-func (f *Fleet) RunFor(d simtime.Duration) {
-	for _, h := range f.Hosts() {
-		h.Mgr.RunFor(d)
-	}
 }
 
 // Place admits a tenant on the least-pressured host that accepts it

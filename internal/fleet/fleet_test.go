@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -101,6 +102,7 @@ func TestPressureGrowsWithReservations(t *testing.T) {
 
 func TestRebalanceMovesOnlyAffectedTenants(t *testing.T) {
 	f := newFleet(t, 2)
+	sr := NewShardedRunner(f, ShardConfig{})
 	hostA := f.Host("a")
 	// victim's pathway crosses pcieswitch0; bystander lives on the
 	// other socket's fabric entirely.
@@ -116,11 +118,15 @@ func TestRebalanceMovesOnlyAffectedTenants(t *testing.T) {
 	}
 	// Calibrate heartbeats, then silently degrade the victim's switch
 	// link on host a.
-	f.RunFor(2 * simtime.Millisecond)
+	if _, err := sr.RunFor(context.Background(), 2*simtime.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 	if err := hostA.Mgr.Fabric().DegradeLink("pcieswitch0->nic0", 0.2, 10*simtime.Microsecond); err != nil {
 		t.Fatal(err)
 	}
-	f.RunFor(2 * simtime.Millisecond)
+	if _, err := sr.RunFor(context.Background(), 2*simtime.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 	if len(hostA.Mgr.Anomaly().Detections()) == 0 {
 		t.Fatal("degradation not detected; rebalance has nothing to act on")
 	}
@@ -145,6 +151,7 @@ func TestRebalanceMovesOnlyAffectedTenants(t *testing.T) {
 
 func TestRebalanceReportsUnplaceable(t *testing.T) {
 	f := newFleet(t, 2)
+	sr := NewShardedRunner(f, ShardConfig{})
 	hostA, hostB := f.Host("a"), f.Host("b")
 	// Fill host b's nic0 path so it cannot take the victim.
 	if _, err := hostB.Mgr.Admit("hog", []intent.Target{
@@ -157,9 +164,13 @@ func TestRebalanceReportsUnplaceable(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	f.RunFor(2 * simtime.Millisecond)
+	if _, err := sr.RunFor(context.Background(), 2*simtime.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 	_ = hostA.Mgr.Fabric().DegradeLink("pcieswitch0->nic0", 0.2, 10*simtime.Microsecond)
-	f.RunFor(2 * simtime.Millisecond)
+	if _, err := sr.RunFor(context.Background(), 2*simtime.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 	rep := f.Rebalance()
 	if len(rep.Failed) != 1 || rep.Failed[0] != "victim" {
 		t.Fatalf("report: %+v", rep)

@@ -3,29 +3,11 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"strings"
 	"testing"
 
 	"repro/internal/obs"
 	"repro/internal/simtime"
 )
-
-// deterministicRollup drops the wall-clock-derived metric families
-// (encode/epoch timings, command latency) that legitimately vary
-// between runs; everything left is a pure function of the simulation.
-func deterministicRollup(r *Runner) []byte {
-	s := r.Rollup().Filter(func(name string) bool {
-		return !strings.HasSuffix(name, "_seconds") &&
-			!strings.HasSuffix(name, "_duration_ns") &&
-			!strings.HasSuffix(name, "_latency_us")
-	})
-	buf, err := json.Marshal(s)
-	if err != nil {
-		panic(err)
-	}
-	return buf
-}
 
 // TestRollupDeterministicAcrossWorkers extends the PR 3/5
 // identical-across-workers assertion to roll-up bytes: the same fleet
@@ -36,11 +18,11 @@ func TestRollupDeterministicAcrossWorkers(t *testing.T) {
 	var rollups [][]byte
 	for _, workers := range []int{1, 8} {
 		f := buildFleet(t, 4)
-		r := NewRunner(f, RunnerConfig{Workers: workers, Epoch: 500 * simtime.Microsecond})
-		if _, err := r.RunFor(context.Background(), 5*simtime.Millisecond); err != nil {
+		sr := NewShardedRunner(f, ShardConfig{Workers: workers, Epoch: 500 * simtime.Microsecond})
+		if _, err := sr.RunFor(context.Background(), 5*simtime.Millisecond); err != nil {
 			t.Fatal(err)
 		}
-		rollups = append(rollups, deterministicRollup(r))
+		rollups = append(rollups, deterministicSnapshot(sr.Rollup()))
 	}
 	if !bytes.Equal(rollups[0], rollups[1]) {
 		t.Fatalf("roll-up bytes differ between 1 and 8 workers:\n%s\n%s",
@@ -53,11 +35,11 @@ func TestRollupDeterministicAcrossWorkers(t *testing.T) {
 // host count matches.
 func TestRollupAggregates(t *testing.T) {
 	f := buildFleet(t, 3)
-	r := NewRunner(f, RunnerConfig{Workers: 2})
-	if _, err := r.RunFor(context.Background(), 2*simtime.Millisecond); err != nil {
+	sr := NewShardedRunner(f, ShardConfig{Workers: 2})
+	if _, err := sr.RunFor(context.Background(), 2*simtime.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	roll := r.Rollup()
+	roll := sr.Rollup()
 	if roll.Hosts != 3 || roll.Source != "fleet" {
 		t.Fatalf("rollup hosts=%d source=%q, want 3/fleet", roll.Hosts, roll.Source)
 	}
@@ -82,14 +64,14 @@ func TestRollupAggregates(t *testing.T) {
 
 // TestFleetBusFanIn: with a fleet bus configured, one subscription
 // observes every host's events (tagged with the host name) plus the
-// runner's own epoch barrier events.
+// engine's own epoch barrier events.
 func TestFleetBusFanIn(t *testing.T) {
 	f := buildFleet(t, 3)
 	bus := obs.NewBus(4096)
-	r := NewRunner(f, RunnerConfig{Workers: 2, Bus: bus})
+	sr := NewShardedRunner(f, ShardConfig{Workers: 2, Bus: bus})
 	sub := bus.Subscribe(4096)
 	defer sub.Close()
-	if _, err := r.RunFor(context.Background(), 2*simtime.Millisecond); err != nil {
+	if _, err := sr.RunFor(context.Background(), 2*simtime.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	hosts := make(map[string]int)

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/intent"
+	"repro/internal/obs"
 	"repro/internal/simtime"
 	"repro/internal/snap"
 	"repro/internal/topology"
@@ -54,16 +56,41 @@ func hashes(f *Fleet) map[string]string {
 	return out
 }
 
+// referenceRun is the engine's contract with no engine in the loop:
+// it advances every host alone, one after another, over the barrier
+// grid start+k*epoch up to start+d (start is the furthest host clock),
+// and returns the name-ordered fold of the hosts' metrics.
+func referenceRun(t *testing.T, f *Fleet, epoch, d simtime.Duration) obs.Snapshot {
+	t.Helper()
+	var start simtime.Time
+	for _, h := range f.Hosts() {
+		start = max(start, h.Mgr.Engine().Now())
+	}
+	target := start.Add(d)
+	acc := obs.NewAccumulator("fleet")
+	for _, h := range f.Hosts() {
+		for k := 1; ; k++ {
+			barrier := min(start.Add(simtime.Duration(k)*epoch), target)
+			if err := h.advanceTo(barrier); err != nil {
+				t.Fatal(err)
+			}
+			if barrier == target {
+				break
+			}
+		}
+		acc.AddRegistry(h.Mgr.Obs().Registry, h.Name)
+	}
+	return acc.Snapshot()
+}
+
 // TestRunnerMatchesSerial is the core determinism claim: advancing the
-// fleet on many workers produces bit-identical per-host state to the
-// one-worker serial loop.
+// fleet on many workers produces bit-identical per-host state to
+// advancing each host alone over the same barrier grid.
 func TestRunnerMatchesSerial(t *testing.T) {
 	serial := buildFleet(t, 4)
 	parallel := buildFleet(t, 4)
-	if _, err := NewRunner(serial, RunnerConfig{Workers: 1}).RunFor(context.Background(), 5*simtime.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewRunner(parallel, RunnerConfig{Workers: 8}).RunFor(context.Background(), 5*simtime.Millisecond); err != nil {
+	referenceRun(t, serial, simtime.Millisecond, 5*simtime.Millisecond)
+	if _, err := NewShardedRunner(parallel, ShardConfig{Workers: 8}).RunFor(context.Background(), 5*simtime.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	want, got := hashes(serial), hashes(parallel)
@@ -79,8 +106,8 @@ func TestRunnerMatchesSerial(t *testing.T) {
 // run: parallelism must not leak into any host's recorded history.
 func TestRunnerDeterminismGate(t *testing.T) {
 	f := buildFleet(t, 3)
-	r := NewRunner(f, RunnerConfig{Workers: 4, Epoch: 500 * simtime.Microsecond})
-	if _, err := r.RunFor(context.Background(), 3*simtime.Millisecond); err != nil {
+	sr := NewShardedRunner(f, ShardConfig{Workers: 4, Epoch: 500 * simtime.Microsecond})
+	if _, err := sr.RunFor(context.Background(), 3*simtime.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	// A fleet-level control action between runs lands in the journals
@@ -90,7 +117,7 @@ func TestRunnerDeterminismGate(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.RunFor(context.Background(), 2*simtime.Millisecond); err != nil {
+	if _, err := sr.RunFor(context.Background(), 2*simtime.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	for _, h := range f.Hosts() {
@@ -104,41 +131,45 @@ func TestRunnerDeterminismGate(t *testing.T) {
 	}
 }
 
-// TestRunnerEpochBarrier: after every epoch all live hosts sit at the
-// same virtual time, even when they started skewed.
+// TestRunnerEpochBarrier: every inner epoch drives all live hosts to
+// one shared barrier, even when they started skewed — the lagging
+// hosts catch up at the first barrier, and the barriers walk the grid
+// start+k*Epoch from the furthest clock.
 func TestRunnerEpochBarrier(t *testing.T) {
 	f := buildFleet(t, 3)
 	// Skew host a half an epoch ahead.
 	if err := f.Host("a").advanceTo(simtime.Time(500 * simtime.Microsecond)); err != nil {
 		t.Fatal(err)
 	}
-	var barriers []EpochStat
-	r := NewRunner(f, RunnerConfig{
-		Workers: 4,
-		Epoch:   simtime.Millisecond,
-		OnEpoch: func(st EpochStat) { barriers = append(barriers, st) },
-	})
-	if _, err := r.RunFor(context.Background(), 2500*simtime.Microsecond); err != nil {
+	bus := obs.NewBus(4096)
+	sub := bus.Subscribe(4096)
+	defer sub.Close()
+	sr := NewShardedRunner(f, ShardConfig{Shards: 1, Workers: 4, Epoch: simtime.Millisecond, Bus: bus})
+	if _, err := sr.RunFor(context.Background(), 2500*simtime.Microsecond); err != nil {
 		t.Fatal(err)
 	}
-	if len(barriers) != 3 {
-		t.Fatalf("epochs = %d, want 3", len(barriers))
-	}
-	for _, st := range barriers {
-		if len(st.Results) != 3 {
-			t.Fatalf("epoch %d has %d results", st.Index, len(st.Results))
+	var inner []simtime.Time
+	for _, be := range sub.Drain() {
+		ev := be.Event
+		if ev.Kind != obs.KindFleetEpoch || ev.Subject != "shard-000" {
+			continue
 		}
-		for i, res := range st.Results {
-			if res.Now != st.Target {
-				t.Fatalf("epoch %d host %s at %v, barrier %v", st.Index, res.Host, res.Now, st.Target)
-			}
-			if i > 0 && st.Results[i-1].Host >= res.Host {
-				t.Fatalf("epoch %d results not name-ordered: %q before %q",
-					st.Index, st.Results[i-1].Host, res.Host)
-			}
+		if ev.Value != 3 {
+			t.Fatalf("barrier %v advanced %v hosts, want 3", ev.Virtual, ev.Value)
+		}
+		inner = append(inner, ev.Virtual)
+	}
+	us := simtime.Microsecond
+	want := []simtime.Time{simtime.Time(1500 * us), simtime.Time(2500 * us), simtime.Time(3000 * us)}
+	if !slices.Equal(inner, want) {
+		t.Fatalf("inner barriers %v, want %v", inner, want)
+	}
+	for _, h := range f.Hosts() {
+		if now := h.Mgr.Engine().Now(); now != want[2] {
+			t.Fatalf("host %s at %v, want the %v barrier", h.Name, now, want[2])
 		}
 	}
-	if now := r.Now(); now != simtime.Time(500*simtime.Microsecond)+simtime.Time(2500*simtime.Microsecond) {
+	if now := sr.Now(); now != want[2] {
 		t.Fatalf("fleet time %v after skewed run", now)
 	}
 }
@@ -152,8 +183,8 @@ func TestRunnerIsolatesHostFailure(t *testing.T) {
 	bad.Mgr.Engine().After(700*simtime.Microsecond, func() {
 		panic("injected fault")
 	})
-	r := NewRunner(f, RunnerConfig{Workers: 4})
-	rep, err := r.RunFor(context.Background(), 4*simtime.Millisecond)
+	sr := NewShardedRunner(f, ShardConfig{Workers: 4})
+	rep, err := sr.RunFor(context.Background(), 4*simtime.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,9 +199,7 @@ func TestRunnerIsolatesHostFailure(t *testing.T) {
 	}
 	// ...with exactly the state a failure-free run gives them.
 	control := buildFleet(t, 3)
-	if _, err := NewRunner(control, RunnerConfig{Workers: 1}).RunFor(context.Background(), 4*simtime.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	referenceRun(t, control, simtime.Millisecond, 4*simtime.Millisecond)
 	for _, name := range []string{"a", "c"} {
 		if got, want := snap.StateHash(f.Host(name).Mgr), snap.StateHash(control.Host(name).Mgr); got != want {
 			t.Fatalf("sibling %s corrupted by host b's failure", name)
@@ -178,7 +207,7 @@ func TestRunnerIsolatesHostFailure(t *testing.T) {
 	}
 	// The quarantined host stays parked on subsequent runs.
 	frozen := bad.Mgr.Engine().Now()
-	if _, err := r.RunFor(context.Background(), simtime.Millisecond); err != nil {
+	if _, err := sr.RunFor(context.Background(), simtime.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	if now := bad.Mgr.Engine().Now(); now != frozen {
@@ -187,25 +216,21 @@ func TestRunnerIsolatesHostFailure(t *testing.T) {
 }
 
 // TestRunnerCancel: cancellation stops the run at an epoch barrier —
-// never mid-epoch — and reports the abort.
+// never mid-epoch — and reports the abort. The cancel fires inside
+// one host's simulation, mid-way through the second epoch; every host
+// still finishes that epoch.
 func TestRunnerCancel(t *testing.T) {
 	f := buildFleet(t, 2)
 	ctx, cancel := context.WithCancel(context.Background())
-	r := NewRunner(f, RunnerConfig{
-		Workers: 2,
-		Epoch:   simtime.Millisecond,
-		OnEpoch: func(st EpochStat) {
-			if st.Index == 1 {
-				cancel()
-			}
-		},
-	})
-	rep, err := r.RunFor(ctx, 10*simtime.Millisecond)
+	defer cancel()
+	f.Host("a").Mgr.Engine().Schedule(simtime.Time(1500*simtime.Microsecond), cancel)
+	sr := NewShardedRunner(f, ShardConfig{Shards: 1, Workers: 2, Epoch: simtime.Millisecond})
+	rep, err := sr.RunFor(ctx, 10*simtime.Millisecond)
 	if err == nil || !rep.Aborted {
 		t.Fatalf("canceled run: err=%v aborted=%v", err, rep.Aborted)
 	}
-	if rep.Epochs != 2 {
-		t.Fatalf("epochs = %d, want 2 (abort after second barrier)", rep.Epochs)
+	if rep.Epochs != 2 || rep.OuterEpochs != 0 {
+		t.Fatalf("epochs = %d inner / %d outer, want 2 / 0 (abort after second barrier)", rep.Epochs, rep.OuterEpochs)
 	}
 	for _, h := range f.Hosts() {
 		if now := h.Mgr.Engine().Now(); now != simtime.Time(2*simtime.Millisecond) {
@@ -216,7 +241,7 @@ func TestRunnerCancel(t *testing.T) {
 
 func TestRunnerRejectsBadDuration(t *testing.T) {
 	f := buildFleet(t, 1)
-	if _, err := NewRunner(f, RunnerConfig{}).RunFor(context.Background(), 0); err == nil {
+	if _, err := NewShardedRunner(f, ShardConfig{}).RunFor(context.Background(), 0); err == nil {
 		t.Fatal("zero-duration run accepted")
 	}
 }
@@ -262,7 +287,7 @@ func TestLoadDir(t *testing.T) {
 // unquarantined one rejoins and catches up to the fleet barrier.
 func TestQuarantineExcludesAndReadmits(t *testing.T) {
 	f := buildFleet(t, 3)
-	r := NewRunner(f, RunnerConfig{Workers: 2, Epoch: 200 * simtime.Microsecond})
+	r := NewShardedRunner(f, ShardConfig{Workers: 2, Epoch: 200 * simtime.Microsecond})
 
 	if err := r.Quarantine("nope", nil); err == nil {
 		t.Fatal("unknown host quarantined")

@@ -14,8 +14,9 @@ import (
 	"repro/internal/snap"
 )
 
-// deterministicSnapshot drops the wall-clock-derived families from any
-// roll-up snapshot — the sharded counterpart of deterministicRollup.
+// deterministicSnapshot drops the wall-clock-derived metric families
+// (encode/epoch timings, command latency) that legitimately vary
+// between runs; everything left is a pure function of the simulation.
 func deterministicSnapshot(s obs.Snapshot) []byte {
 	filtered := s.Filter(func(name string) bool {
 		return !strings.HasSuffix(name, "_seconds") &&
@@ -29,28 +30,24 @@ func deterministicSnapshot(s obs.Snapshot) []byte {
 	return buf
 }
 
-// TestShardedMatchesUnsharded: the sharded engine must be an
-// implementation detail — same per-host state hashes and same
-// (wall-clock-filtered) roll-up bytes as the single-barrier Runner
-// over the same fleet history.
+// TestShardedMatchesUnsharded: sharding must be an implementation
+// detail — same per-host state hashes and same (wall-clock-filtered)
+// roll-up bytes as advancing every host alone over the same barrier
+// grid and folding the hosts in name order.
 func TestShardedMatchesUnsharded(t *testing.T) {
 	plain := buildFleet(t, 6)
-	r := NewRunner(plain, RunnerConfig{Workers: 4, Epoch: 500 * simtime.Microsecond})
-	if _, err := r.RunFor(context.Background(), 4*simtime.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	ref := referenceRun(t, plain, 500*simtime.Microsecond, 4*simtime.Millisecond)
 
 	sharded := buildFleet(t, 6)
 	sr := NewShardedRunner(sharded, ShardConfig{
-		Shards: 3, Workers: 2,
-		Epoch: 500 * simtime.Microsecond, OuterEvery: 2,
+		Shards: 3, Workers: 2, Epoch: 500 * simtime.Microsecond,
 	})
 	rep, err := sr.RunFor(context.Background(), 4*simtime.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.OuterEpochs != 4 || rep.Epochs != 8 || rep.HostsAdvanced != 6*8 {
-		t.Fatalf("sharded report %+v, want 4 outer / 8 inner epochs, 48 host-advances", rep)
+	if rep.OuterEpochs != 2 || rep.Epochs != 8 || rep.HostsAdvanced != 6*8 {
+		t.Fatalf("sharded report %+v, want 2 outer / 8 inner epochs, 48 host-advances", rep)
 	}
 
 	want, got := hashes(plain), hashes(sharded)
@@ -59,8 +56,8 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 			t.Fatalf("host %s diverged under sharding:\n plain   %s\n sharded %s", name, h, got[name])
 		}
 	}
-	if a, b := deterministicRollup(r), deterministicSnapshot(sr.Rollup()); !bytes.Equal(a, b) {
-		t.Fatalf("roll-up bytes differ between plain and sharded engines:\n%s\n%s", a, b)
+	if a, b := deterministicSnapshot(ref), deterministicSnapshot(sr.Rollup()); !bytes.Equal(a, b) {
+		t.Fatalf("roll-up bytes differ between the reference fold and the sharded engine:\n%s\n%s", a, b)
 	}
 }
 
@@ -75,8 +72,7 @@ func TestShardedRollupDeterministicAcrossShardsAndWorkers(t *testing.T) {
 		for _, workers := range []int{1, 8} {
 			f := buildFleet(t, 16)
 			sr := NewShardedRunner(f, ShardConfig{
-				Shards: shards, Workers: workers,
-				Epoch: 500 * simtime.Microsecond, OuterEvery: 2,
+				Shards: shards, Workers: workers, Epoch: 500 * simtime.Microsecond,
 			})
 			if _, err := sr.RunFor(context.Background(), 4*simtime.Millisecond); err != nil {
 				t.Fatal(err)
@@ -106,8 +102,7 @@ func TestShardedRollupDeterministicAcrossShardsAndWorkers(t *testing.T) {
 func TestShardedJournalsReplayable(t *testing.T) {
 	f := buildFleet(t, 4)
 	sr := NewShardedRunner(f, ShardConfig{
-		Shards: 2, Workers: 2,
-		Epoch: 500 * simtime.Microsecond, OuterEvery: 2,
+		Shards: 2, Workers: 2, Epoch: 500 * simtime.Microsecond,
 	})
 	if _, err := sr.RunFor(context.Background(), 3*simtime.Millisecond); err != nil {
 		t.Fatal(err)
@@ -134,8 +129,7 @@ func TestShardedQuarantineIsolation(t *testing.T) {
 		// 700us, mid first inner epoch.
 		f.Host("c").Mgr.Engine().After(700*simtime.Microsecond, func() { panic("injected fault") })
 		sr := NewShardedRunner(f, ShardConfig{
-			Shards: 4, Workers: workers,
-			Epoch: 500 * simtime.Microsecond, OuterEvery: 2,
+			Shards: 4, Workers: workers, Epoch: 500 * simtime.Microsecond,
 		})
 		return f, sr
 	}
@@ -242,9 +236,12 @@ func TestShardedRollupCache(t *testing.T) {
 		t.Fatal("cached scrape returned different bytes")
 	}
 
-	// The cached fold must equal a from-scratch unsharded fold.
-	fresh := NewRunner(f, RunnerConfig{Workers: 1})
-	if a, b := deterministicSnapshot(fresh.Rollup()), deterministicSnapshot(r2); !bytes.Equal(a, b) {
+	// The cached fold must equal a from-scratch name-ordered fold.
+	fresh := obs.NewAccumulator("fleet")
+	for _, h := range f.Hosts() {
+		fresh.AddRegistry(h.Mgr.Obs().Registry, h.Name)
+	}
+	if a, b := deterministicSnapshot(fresh.Snapshot()), deterministicSnapshot(r2); !bytes.Equal(a, b) {
 		t.Fatalf("cached sharded roll-up diverges from direct fold:\n%s\n%s", a, b)
 	}
 

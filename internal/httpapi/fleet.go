@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -100,7 +101,7 @@ func (s *FleetServer) Runner() *fleet.ShardedRunner { return s.runner }
 func (s *FleetServer) Advance(d simtime.Duration) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, err := s.runner.RunFor(nil, d)
+	_, err := s.runner.RunFor(context.Background(), d)
 	if s.rem != nil {
 		s.rem.StepAll()
 		s.runner.MarkAllDirty()

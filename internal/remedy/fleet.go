@@ -8,32 +8,26 @@ import (
 	"repro/internal/simtime"
 )
 
-// Quarantiner fences hosts out of an epoch loop — satisfied by both
-// *fleet.Runner and *fleet.ShardedRunner, so the controller works
-// unchanged over the single-barrier and sharded engines.
-type Quarantiner interface {
-	Quarantine(name string, reason error) error
-}
-
 // FleetController drives one per-host remediation controller per
 // fleet host, each acting through that host's journaled session, plus
 // fleet-scoped verbs (cross-host rebalance, quarantine) exposed to the
 // per-host planners through the FleetHook. StepAll must be called
-// between epoch barriers — never while the runner is mid-epoch — and
-// steps hosts in name order, so the same seed and policy produce
-// byte-identical per-host journals regardless of the runner's worker
-// count (or, under sharding, its shard count).
+// between outer barriers of the fleet engine (fleet.ShardedRunner) —
+// never while it is mid-epoch — and steps hosts in name order, so the
+// same seed and policy produce byte-identical per-host journals
+// regardless of the engine's shard and worker counts.
 type FleetController struct {
 	flt    *fleet.Fleet
-	runner Quarantiner
+	runner *fleet.ShardedRunner
 	names  []string
 	ctrls  map[string]*Controller
 }
 
 // NewFleet attaches one controller per current fleet host. Hosts must
-// be session-backed (journaled); the runner may be nil, which disables
-// the quarantine action.
-func NewFleet(flt *fleet.Fleet, runner Quarantiner, pol Policy) (*FleetController, error) {
+// be session-backed (journaled). runner is the engine advancing the
+// fleet, through which the quarantine action fences hosts; nil
+// disables that action.
+func NewFleet(flt *fleet.Fleet, runner *fleet.ShardedRunner, pol Policy) (*FleetController, error) {
 	fc := &FleetController{flt: flt, runner: runner, ctrls: make(map[string]*Controller)}
 	for _, h := range flt.Hosts() {
 		if h.Sess == nil {

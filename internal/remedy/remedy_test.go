@@ -1,6 +1,7 @@
 package remedy
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -340,8 +341,10 @@ func TestMigratePlanAndExecute(t *testing.T) {
 }
 
 // TestFleetClosedLoop runs per-host controllers over a session-backed
-// fleet: the faulted host heals through its own journaled session and
-// the healthy host stays untouched.
+// fleet advanced by the fleet engine: the faulted host heals through
+// its own journaled session, the healthy host stays untouched, and
+// every host's journal replays to its live state — time advancement
+// included.
 func TestFleetClosedLoop(t *testing.T) {
 	flt := fleet.New()
 	sessions := map[string]*snap.Session{}
@@ -355,19 +358,25 @@ func TestFleetClosedLoop(t *testing.T) {
 		}
 		sessions[name] = sess
 	}
-	fc, err := NewFleet(flt, nil, DefaultPolicy())
+	runner := fleet.NewShardedRunner(flt, fleet.ShardConfig{})
+	fc, err := NewFleet(flt, runner, DefaultPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fc.Close()
 
+	ctx := context.Background()
 	acfg := core.DefaultOptions().Anomaly
-	flt.RunFor(simtime.Duration(acfg.CalibrationRounds+5) * acfg.Period)
+	if _, err := runner.RunFor(ctx, simtime.Duration(acfg.CalibrationRounds+5)*acfg.Period); err != nil {
+		t.Fatal(err)
+	}
 	if err := sessions["a"].DegradeLink("cpu0->cpu1", 0, 50*simtime.Microsecond); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
-		flt.RunFor(acfg.Period)
+		if _, err := runner.RunFor(ctx, acfg.Period); err != nil {
+			t.Fatal(err)
+		}
 		fc.StepAll()
 		if s := fc.Stats(); s.Resolved > 0 && !fc.Degraded() {
 			break
@@ -393,6 +402,15 @@ func TestFleetClosedLoop(t *testing.T) {
 	}
 	if len(fc.MTTRs()) != 1 {
 		t.Fatalf("fleet MTTRs %v", fc.MTTRs())
+	}
+	for name, sess := range sessions {
+		replayed, err := snap.Replay(sess.Config(), sess.Journal())
+		if err != nil {
+			t.Fatalf("host %s: %v", name, err)
+		}
+		if got, want := snap.StateHash(replayed.Manager()), snap.StateHash(sess.Manager()); got != want {
+			t.Fatalf("host %s: replay hash %s, live hash %s", name, got, want)
+		}
 	}
 }
 

@@ -32,9 +32,9 @@ bench:
 # Quick sanity pass over the benchmarks that guard the hot paths: the
 # observability tax on fabric scheduling, the snapshot round-trip
 # (export + encode + decode + replay + verify), the fleet engine's
-# one-worker vs GOMAXPROCS-worker speedup at 64 hosts, and the
+# one-worker vs GOMAXPROCS-worker speedup at 64 hosts, the
 # observability pipeline (zero-alloc bus publish, flat-per-host fleet
-# roll-up).
+# roll-up), and fleet placement (one cached pressure read per host).
 bench-smoke:
 	$(GO) test -bench BenchmarkObsFabricHotPath -benchtime 1x -run '^$$' .
 	$(GO) test -bench BenchmarkSnapshotRoundTrip -benchtime 1x -run '^$$' ./internal/snap
@@ -43,6 +43,7 @@ bench-smoke:
 	$(GO) test -bench BenchmarkFabricRecomputeSteadyState -benchtime 1x -benchmem -run '^$$' ./internal/fabric
 	$(GO) test -bench 'BenchmarkBusPublish' -benchtime 1x -benchmem -run '^$$' ./internal/obs
 	$(GO) test -bench 'BenchmarkFleetRollup/hosts=64' -benchtime 1x -benchmem -run '^$$' ./internal/fleet
+	$(GO) test -bench 'BenchmarkFleetPlace/hosts=64' -benchtime 1x -benchmem -run '^$$' ./internal/fleet
 
 # Benchmark trajectory gate: run the fabric hot-path benchmarks, fold
 # the results into BENCH_fabric.json (the committed baseline section is

@@ -82,6 +82,13 @@ type Arbiter struct {
 	// Adjustments counts re-arbitration passes (Q3 overhead metric).
 	adjustments uint64
 
+	// pressure caches Pressure(). pressureOK is cleared by Install and
+	// Remove; pressureCapVer is the fabric's CapacityVersion when the
+	// value was computed.
+	pressure       float64
+	pressureOK     bool
+	pressureCapVer uint64
+
 	// Observability (nil when unattached).
 	tracer         *obs.Tracer
 	mAdjustments   *obs.Counter
@@ -143,6 +150,7 @@ func (a *Arbiter) Install(tenant fabric.TenantID, res resmodel.Reservation) erro
 		a.guarantees[tenant] = g
 	}
 	g.Merge(res)
+	a.pressureOK = false
 	a.apply()
 	return nil
 }
@@ -154,6 +162,7 @@ func (a *Arbiter) Remove(tenant fabric.TenantID) {
 		return
 	}
 	delete(a.guarantees, tenant)
+	a.pressureOK = false
 	a.apply()
 }
 
@@ -215,6 +224,35 @@ func (a *Arbiter) CapacityMap() map[topology.LinkID]topology.Rate {
 		out[l.ID] = c
 	}
 	return out
+}
+
+// Pressure is the reserved fraction of the fabric's total effective
+// capacity, 1 − Σfree/Σcapacity, where per-link free is FreeMap's
+// (guarantees subtracted in sorted tenant order, clamped at 0) and
+// both sums run in link-ID order, so equal states give bit-identical
+// values. It is 0 on a fabric without capacity. The value is cached:
+// it is recomputed only after Install or Remove, or after a link's
+// effective capacity changes (DegradeLink, RestoreLink); a cache hit
+// is O(1) and allocates nothing.
+func (a *Arbiter) Pressure() float64 {
+	if capVer := a.fab.CapacityVersion(); !a.pressureOK || a.pressureCapVer != capVer {
+		free := a.FreeMap()
+		var f, c float64
+		for _, l := range a.fab.Topology().Links() {
+			cv, err := a.fab.EffectiveCapacity(l.ID)
+			if err != nil {
+				continue
+			}
+			c += float64(cv)
+			f += float64(free[l.ID])
+		}
+		a.pressure = 0
+		if c != 0 {
+			a.pressure = 1 - f/c
+		}
+		a.pressureOK, a.pressureCapVer = true, capVer
+	}
+	return a.pressure
 }
 
 // Start arms the periodic adjustment loop.

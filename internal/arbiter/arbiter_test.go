@@ -2,6 +2,7 @@ package arbiter
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/fabric"
@@ -343,5 +344,79 @@ func BenchmarkArbitrationPass(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.apply()
+	}
+}
+
+// referencePressure recomputes pressure from scratch: FreeMap and
+// CapacityMap summed in link-ID order.
+func referencePressure(a *Arbiter, fab *fabric.Fabric) float64 {
+	free, capacity := a.FreeMap(), a.CapacityMap()
+	var f, c float64
+	for _, l := range fab.Topology().Links() {
+		c += float64(capacity[l.ID])
+		f += float64(free[l.ID])
+	}
+	if c == 0 {
+		return 0
+	}
+	return 1 - f/c
+}
+
+// TestPressureCacheInvalidation checks the cached pressure against the
+// from-scratch reference after every kind of change it depends on:
+// guarantees installed and removed, link capacity degraded and
+// restored. Pressure is read before each change so a missed
+// invalidation shows up as a stale value.
+func TestPressureCacheInvalidation(t *testing.T) {
+	e := simtime.NewEngine(1)
+	topo := topology.MinimalHost()
+	fab := fabric.New(topo, e, fabric.DefaultConfig())
+	a, err := New(fab, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe := func(src, dst topology.CompID, rate topology.Rate) resmodel.Reservation {
+		p, err := topo.ShortestPath(src, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := resmodel.NewReservation()
+		res.AddPipe(p, rate)
+		return res
+	}
+	nicPipe := pipe("nic0", "socket0.dimm0_0", topology.GBps(1.0/3))
+	link := nicPipe.LinkIDs()[0]
+	last := a.Pressure()
+	check := func(step string) {
+		t.Helper()
+		got, want := a.Pressure(), referencePressure(a, fab)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("after %s: pressure %v, reference %v", step, got, want)
+		}
+		if got == last {
+			t.Fatalf("after %s: pressure stayed %v; the step must move it", step, got)
+		}
+		last = got
+	}
+	if err := a.Install("kv", nicPipe); err != nil {
+		t.Fatal(err)
+	}
+	check("Install kv")
+	if err := a.Install("ml", pipe("gpu0", "socket0.dimm0_0", topology.GBps(0.7))); err != nil {
+		t.Fatal(err)
+	}
+	check("Install ml")
+	if err := fab.DegradeLink(link, 0.5, 0); err != nil {
+		t.Fatal(err)
+	}
+	check("DegradeLink")
+	if err := fab.RestoreLink(link); err != nil {
+		t.Fatal(err)
+	}
+	check("RestoreLink")
+	a.Remove("kv")
+	check("Remove kv")
+	if n := testing.AllocsPerRun(100, func() { a.Pressure() }); n != 0 {
+		t.Fatalf("cached Pressure allocates %v objects per call", n)
 	}
 }

@@ -156,6 +156,11 @@ type Fabric struct {
 	batching     bool // Batch() open: defer recomputation
 	txStats      TransactionStats
 
+	// capVersion counts changes to any link's effective capacity.
+	// DegradeLink and RestoreLink are the only writers of
+	// linkState.capacity after New, and each bumps it.
+	capVersion uint64
+
 	// tenantSlots assigns each tenant a dense slot on first use;
 	// tenantList is the inverse mapping. Slots index per-link byte
 	// accumulators.
@@ -344,6 +349,11 @@ func (f *Fabric) EffectiveCapacity(id topology.LinkID) (topology.Rate, error) {
 	}
 	return ls.capacity, nil
 }
+
+// CapacityVersion returns a counter that changes whenever any link's
+// effective capacity changes (degradation or restoration), so callers
+// can cache values derived from capacities and revalidate in O(1).
+func (f *Fabric) CapacityVersion() uint64 { return f.capVersion }
 
 // hopLatency returns the congestion-inflated one-way latency of a link
 // at its current utilization.

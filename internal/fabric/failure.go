@@ -49,6 +49,7 @@ func (f *Fabric) RestoreLink(id topology.LinkID) error {
 	ls.degradeFrac = 0
 	ls.extraLatency = 0
 	ls.capacity = f.baseEffectiveCapacity(ls.link)
+	f.capVersion++
 	f.markLinkDirty(ls)
 	if f.met != nil {
 		f.met.linkRestores.Inc()
@@ -82,6 +83,7 @@ func (f *Fabric) DegradeLink(id topology.LinkID, lossFrac float64, extraLatency 
 	ls.degradeFrac = lossFrac
 	ls.extraLatency = extraLatency
 	ls.capacity = topology.Rate(float64(f.baseEffectiveCapacity(ls.link)) * (1 - lossFrac))
+	f.capVersion++
 	f.markLinkDirty(ls)
 	if f.met != nil {
 		f.met.linkDegrades.Inc()

@@ -6,7 +6,9 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/intent"
 	"repro/internal/simtime"
+	"repro/internal/topology"
 )
 
 // benchFleet builds n plain (non-recording) synthetic hosts with one
@@ -60,6 +62,35 @@ func BenchmarkFleetRunFor(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(hosts)*float64(b.N)/b.Elapsed().Seconds(), "host-ms/s")
+		})
+	}
+}
+
+// BenchmarkFleetPlace measures one placement on a fleet of recording
+// hosts that each carry the standard workload: rank every host by
+// pressure, then admit (journaled) on the least-pressured one. The
+// placed tenant is evicted outside the timer so every iteration sees
+// the same fleet.
+func BenchmarkFleetPlace(b *testing.B) {
+	targets := []intent.Target{{Src: "nic0", Dst: intent.AnyMemory, Rate: topology.GBps(1)}}
+	for _, hosts := range []int{64, 256} {
+		b.Run(fmt.Sprintf("hosts=%d", hosts), func(b *testing.B) {
+			f, err := Synth(SynthSpec{Hosts: hosts, Seed: 1, Record: true, Workload: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := f.Place("placed", targets); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if _, err := f.Evict("placed"); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
 		})
 	}
 }

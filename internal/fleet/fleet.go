@@ -9,7 +9,9 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -65,21 +67,16 @@ func (h *Host) advanceTo(t simtime.Time) error {
 	return nil
 }
 
-// Pressure is the host's reserved fraction of total fabric capacity —
-// the placement policy's load signal.
-func (h *Host) Pressure() float64 {
-	free := h.Mgr.Arbiter().FreeMap()
-	capacity := h.Mgr.Arbiter().CapacityMap()
-	var f, c float64
-	for l, cv := range capacity {
-		c += float64(cv)
-		f += float64(free[l])
-	}
-	if c == 0 {
-		return 0
-	}
-	return 1 - f/c
-}
+// Pressure is the host's placement load signal: the reserved fraction
+// of its fabric's total effective capacity, 1 − Σfree/Σcapacity.
+// Per-link free is effective capacity minus the installed guarantees,
+// subtracted in sorted tenant order and clamped at 0; both sums run in
+// link-ID order, so identically loaded hosts report bit-identical
+// pressures and placement never depends on map iteration order. The
+// host's arbiter caches the value and recomputes it only after a
+// tenant's guarantees are installed or removed, or after a link's
+// capacity is degraded or restored; every other call is O(1).
+func (h *Host) Pressure() float64 { return h.Mgr.Arbiter().Pressure() }
 
 // Fleet is a set of hosts under one operator.
 type Fleet struct {
@@ -134,6 +131,27 @@ func (f *Fleet) Hosts() []*Host {
 	return append([]*Host(nil), f.hosts...)
 }
 
+// ByPressure returns the hosts in placement order: least pressure
+// first, ties in name order. Each host's pressure is read once. This
+// is the one ranking behind Place, Rebalance and remediation's
+// cross-host evacuation.
+func (f *Fleet) ByPressure() []*Host {
+	hosts := f.Hosts()
+	type ranked struct {
+		h *Host
+		p float64
+	}
+	order := make([]ranked, len(hosts))
+	for i, h := range hosts {
+		order[i] = ranked{h, h.Pressure()}
+	}
+	slices.SortStableFunc(order, func(a, b ranked) int { return cmp.Compare(a.p, b.p) })
+	for i, r := range order {
+		hosts[i] = r.h
+	}
+	return hosts
+}
+
 // Host returns the named host, or nil.
 func (f *Fleet) Host(name string) *Host {
 	for _, h := range f.hosts {
@@ -150,10 +168,8 @@ func (f *Fleet) Place(tenant fabric.TenantID, targets []intent.Target) (*vnet.Vi
 	if len(f.hosts) == 0 {
 		return nil, nil, fmt.Errorf("fleet: no hosts")
 	}
-	order := f.Hosts()
-	sort.SliceStable(order, func(i, j int) bool { return order[i].Pressure() < order[j].Pressure() })
 	var lastErr error
-	for _, h := range order {
+	for _, h := range f.ByPressure() {
 		view, err := h.admit(tenant, cloneTargets(targets))
 		if err == nil {
 			return view, h, nil
@@ -274,11 +290,7 @@ func (f *Fleet) Rebalance() EvacuationReport {
 		}
 		for _, tenant := range AffectedTenants(h) {
 			moved := false
-			candidates := f.Hosts()
-			sort.SliceStable(candidates, func(i, j int) bool {
-				return candidates[i].Pressure() < candidates[j].Pressure()
-			})
-			for _, dst := range candidates {
+			for _, dst := range f.ByPressure() {
 				if dst.Name == h.Name || unhealthy[dst.Name] {
 					continue
 				}

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -97,6 +98,48 @@ func TestPressureGrowsWithReservations(t *testing.T) {
 	}
 	if h.Pressure() <= before {
 		t.Fatalf("pressure %v not above %v after reservation", h.Pressure(), before)
+	}
+}
+
+// TestPressureDeterministic pins placement to bit-identical
+// pressures. Fractional guarantees make the per-link float sums
+// order-sensitive, so a pressure summed in map-iteration order drifts
+// in its last bits from call to call, and a placement between two
+// identically loaded hosts flips between them from run to run.
+func TestPressureDeterministic(t *testing.T) {
+	load := []intent.Target{
+		{Src: "nic0", Dst: intent.AnyMemory, Rate: topology.GBps(1.0 / 3)},
+		{Src: "gpu0", Dst: intent.AnyMemory, Rate: topology.GBps(0.7)},
+	}
+	third := []intent.Target{{Src: "nic0", Dst: intent.AnyMemory, Rate: topology.GBps(1)}}
+	first := ""
+	for run := 0; run < 20; run++ {
+		f, err := Synth(SynthSpec{Hosts: 2, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range f.Hosts() {
+			if _, err := h.admit("frac", load); err != nil {
+				t.Fatal(err)
+			}
+			if run == 0 {
+				want := math.Float64bits(h.Pressure())
+				for i := 0; i < 1000; i++ {
+					if got := math.Float64bits(h.Pressure()); got != want {
+						t.Fatalf("%s: pressure bits %#x on call %d, want %#x", h.Name, got, i, want)
+					}
+				}
+			}
+		}
+		_, h, err := f.Place("third", third)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == "" {
+			first = h.Name
+		} else if h.Name != first {
+			t.Fatalf("run %d placed on %s, run 0 on %s", run, h.Name, first)
+		}
 	}
 }
 

@@ -172,8 +172,9 @@ type fleetHostDTO struct {
 
 func (s *FleetServer) hostDTOs() []fleetHostDTO {
 	failed := s.runner.Failed()
-	out := make([]fleetHostDTO, 0, len(s.fleet.Hosts()))
-	for _, h := range s.fleet.Hosts() {
+	hosts := s.fleet.Hosts()
+	out := make([]fleetHostDTO, 0, len(hosts))
+	for _, h := range hosts {
 		d := fleetHostDTO{
 			Name:          h.Name,
 			VirtualTimeNs: int64(h.Mgr.Engine().Now()),

@@ -259,6 +259,10 @@ func TestHealthzSubsystems(t *testing.T) {
 
 // TestAccessLogMiddleware: every request gets a correlation ID (minted
 // or client-supplied), echoed in the response header and logged.
+// AccessLog writes its line after the response is sent, so the client
+// can see a response before its line exists; the test waits (bounded)
+// for each request's line before going on, which also keeps the lines
+// in request order.
 func TestAccessLogMiddleware(t *testing.T) {
 	s, _ := newServer(t)
 	var mu sync.Mutex
@@ -270,6 +274,22 @@ func TestAccessLogMiddleware(t *testing.T) {
 	})
 	ts := httptest.NewServer(logged)
 	defer ts.Close()
+	waitLines := func(n int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			mu.Lock()
+			got := len(lines)
+			mu.Unlock()
+			if got >= n {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("access log has %d lines after 5s, want %d", got, n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 
 	resp, err := http.Get(ts.URL + "/api/v1/topology")
 	if err != nil {
@@ -280,6 +300,7 @@ func TestAccessLogMiddleware(t *testing.T) {
 	if minted == "" {
 		t.Fatal("no X-Request-ID echoed for a minted ID")
 	}
+	waitLines(1)
 
 	req, _ := http.NewRequest("GET", ts.URL+"/api/v1/topology", nil)
 	req.Header.Set("X-Request-ID", "client-chosen-7")
@@ -291,6 +312,7 @@ func TestAccessLogMiddleware(t *testing.T) {
 	if got := resp2.Header.Get("X-Request-ID"); got != "client-chosen-7" {
 		t.Fatalf("client-supplied ID not echoed: %q", got)
 	}
+	waitLines(2)
 
 	mu.Lock()
 	defer mu.Unlock()

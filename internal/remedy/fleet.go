@@ -142,11 +142,7 @@ func (hk *hostHook) RebalanceHost() (int, error) {
 	}
 	moved := 0
 	for _, tenant := range fleet.AffectedTenants(h) {
-		candidates := hk.fc.flt.Hosts()
-		sort.SliceStable(candidates, func(i, j int) bool {
-			return candidates[i].Pressure() < candidates[j].Pressure()
-		})
-		for _, dst := range candidates {
+		for _, dst := range hk.fc.flt.ByPressure() {
 			if dst.Name == hk.name || len(dst.Mgr.Anomaly().Detections()) > 0 {
 				continue
 			}

@@ -55,8 +55,8 @@
 //	fleet-evict <tenant>           evict wherever the tenant runs
 //	migrate <tenant> <host>        move the tenant to the named host
 //	rebalance                      evacuate tenants off anomalous links
-//	host-snapshot <host> [file]    checkpoint one fleet host
-//	host-journal <host> [file]     download one fleet host's journal
+//	host <host> <command> [args]   run a single-host command on one fleet
+//	                               host (404 for host-only commands)
 //	fleet watch [kind]             tail the fleet-wide event stream (SSE)
 //	fleet-rollup                   merged fleet metrics snapshot (JSON)
 //	fleet-shards                   sharded engine stats: clocks, epochs, cache
@@ -318,8 +318,6 @@ func (c command) dispatch(args []string) error {
 			return c.watch("/fleet/events", rest[1:])
 		}
 		return fmt.Errorf("usage: ihctl fleet watch [kind]")
-	case "fleet-watch":
-		return c.watch("/fleet/events", rest)
 	case "fleet-remedy":
 		return c.remedy("/fleet", rest)
 	case "fleet-rollup":
@@ -393,24 +391,12 @@ func (c command) dispatch(args []string) error {
 			map[string]any{"host": rest[1]}, prettyJSON)
 	case "rebalance":
 		return c.post("/fleet/rebalance", nil, prettyJSON)
-	case "host-snapshot":
-		if len(rest) != 1 && len(rest) != 2 {
-			return fmt.Errorf("usage: ihctl host-snapshot <host> [file]")
+	case "host":
+		if len(rest) < 2 {
+			return fmt.Errorf("usage: ihctl host <host> <command> [args]")
 		}
-		out := rest[0] + "-snapshot.json"
-		if len(rest) == 2 {
-			out = rest[1]
-		}
-		return c.post("/fleet/hosts/"+url.PathEscape(rest[0])+"/snapshot", nil, toFile(out, "snapshot"))
-	case "host-journal":
-		if len(rest) != 1 && len(rest) != 2 {
-			return fmt.Errorf("usage: ihctl host-journal <host> [file]")
-		}
-		path := "/fleet/hosts/" + url.PathEscape(rest[0]) + "/journal"
-		if len(rest) == 2 {
-			return c.get(path, toFile(rest[1], "journal"))
-		}
-		return c.get(path, prettyJSON)
+		c.api = c.api.Host(rest[0])
+		return c.dispatch(rest[1:])
 	}
 	return fmt.Errorf("unknown command %q", cmd)
 }

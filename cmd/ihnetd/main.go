@@ -49,8 +49,11 @@
 // Fleet mode: -hosts-dir boots one recording host per *.json host spec
 // in the directory (or -synth-hosts=N boots N deterministic synthetic
 // hosts) and serves the fleet control plane instead — placement,
-// migration, rebalancing, and per-host checkpoints under
-// /api/v1/fleet/. The hosts advance on the sharded epoch engine:
+// migration and rebalancing under /api/v1/fleet/, and each host's
+// reads, event stream, checkpoint and journal through the single-host
+// per-host routes mounted at /api/v1/fleet/hosts/{host}/ (e.g.
+// /api/v1/fleet/hosts/box-a/report). The hosts advance on the sharded
+// epoch engine:
 // -fleet-shards independent shard groups (default one per 64 hosts),
 // each with its own worker pool (-fleet-workers goroutines per shard)
 // and inner epoch loop (barriers every -fleet-epoch of virtual time),
@@ -348,10 +351,10 @@ func main() {
 		handler = srv.Handler()
 		advance = srv.Advance
 		authReg = sess.Manager().Obs().Registry
-		var ctrl *remedy.Controller
 		if *remedyOn {
-			var err error
-			ctrl, err = remedy.New(sess.Manager(), remedy.SessionActuator{Sess: sess},
+			// The server owns the controller from here: a POST
+			// /api/v1/restore rebuilds it over the restored session.
+			ctrl, err := remedy.New(sess.Manager(), remedy.SessionActuator{Sess: sess},
 				remedy.Options{Policy: pol})
 			if err != nil {
 				log.Fatalf("ihnetd: %v", err)
@@ -360,9 +363,6 @@ func main() {
 			log.Printf("ihnetd: remediation controller armed (policy: %d rules)", len(pol.Rules))
 		}
 		stopHosts = func() {
-			if ctrl != nil {
-				ctrl.Close()
-			}
 			// Re-read the manager: a POST /api/v1/restore may have
 			// swapped it.
 			mgr := srv.Manager()

@@ -18,12 +18,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 )
 
 // Client calls one ihnetd daemon.
 type Client struct {
-	base  string
+	api   string // root every path resolves below: ".../api/v1", or a fleet host's mount (Host)
 	token string // bearer token sent on every request; "" sends none
 	http  *http.Client
 }
@@ -34,7 +35,16 @@ func New(base string) *Client {
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
 	}
-	return &Client{base: strings.TrimRight(base, "/"), http: http.DefaultClient}
+	return &Client{api: strings.TrimRight(base, "/") + "/api/v1", http: http.DefaultClient}
+}
+
+// Host returns a client whose calls address one host of a fleet
+// daemon: paths resolve below /fleet/hosts/<name>, the fleet's mount
+// of the per-host route table.
+func (c *Client) Host(name string) *Client {
+	h := *c
+	h.api += "/fleet/hosts/" + url.PathEscape(name)
+	return &h
 }
 
 // SetToken arms bearer-token auth: every subsequent request (streams
@@ -110,7 +120,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+"/api/v1"+path, rd)
+	req, err := http.NewRequestWithContext(ctx, method, c.api+path, rd)
 	if err != nil {
 		return err
 	}

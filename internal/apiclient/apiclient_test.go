@@ -31,6 +31,31 @@ func TestPathsAreVersioned(t *testing.T) {
 	}
 }
 
+// TestHostPaths: a Host client roots every path, typed calls
+// included, at the fleet's per-host mount, escaping the host name.
+func TestHostPaths(t *testing.T) {
+	var gotPath string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		gotPath = r.URL.EscapedPath()
+		w.Write([]byte(`{}`))
+	}))
+	defer ts.Close()
+	c := New(ts.URL)
+	h := c.Host("rack box")
+	if _, err := h.SolverStats(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if want := "/api/v1/fleet/hosts/rack%20box/fabric/solver"; gotPath != want {
+		t.Fatalf("host call went to %s, want %s", gotPath, want)
+	}
+	if err := c.Get(context.Background(), "/topology", nil); err != nil {
+		t.Fatal(err)
+	}
+	if gotPath != "/api/v1/topology" {
+		t.Fatalf("Host changed its parent client: request went to %s", gotPath)
+	}
+}
+
 // TestBareHostBase: "host:port" without a scheme works, matching
 // ihctl's -addr flag.
 func TestBareHostBase(t *testing.T) {

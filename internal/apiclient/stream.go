@@ -26,7 +26,7 @@ type StreamEvent struct {
 // returns verbatim). A canceled context returns nil: for a watch
 // command, Ctrl-C is a clean exit, not a failure.
 func (c *Client) Stream(ctx context.Context, path string, afterSeq uint64, fn func(StreamEvent) error) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/api/v1"+path, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.api+path, nil)
 	if err != nil {
 		return err
 	}

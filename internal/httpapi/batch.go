@@ -187,8 +187,8 @@ func (s *Server) postBatch(w http.ResponseWriter, r *http.Request) {
 // getSolver serves the fabric's component-solver snapshot. Write lock:
 // sizing the live partition walks the union-find with path
 // compression, which mutates finder state.
-func (s *Server) getSolver(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Manager().Fabric().SolverStats())
+func getSolver(w http.ResponseWriter, _ *http.Request, h hostRef) {
+	writeJSON(w, http.StatusOK, h.sess.Manager().Fabric().SolverStats())
 }
 
 // fleetSolverDTO is the fleet roll-up of per-host solver stats.

@@ -25,8 +25,8 @@ import (
 // process managing N simulated hosts, advanced concurrently by the
 // fleet runner's epoch barriers. It speaks the same v1 contract as the
 // single-host Server — every endpoint under /api/v1/, the typed error
-// envelope, 499 on client abort — with the fleet verbs (place,
-// migrate, rebalance, per-host checkpointing) layered on top.
+// envelope, 499 on client abort — and serves each host through its
+// per-host route table, with the fleet verbs layered on top.
 //
 // One RWMutex serializes the fleet: the runner is not safe for
 // concurrent use, and placement/migration decisions must observe hosts
@@ -112,9 +112,12 @@ func (s *FleetServer) Advance(d simtime.Duration) error {
 // apiRoutes is the fleet daemon's v1 route table. Everything that
 // touches simulation state (including "reads" that settle lazy fabric
 // accounting, like pressure and usage reports) takes the write lock;
-// only healthz, which reads clocks and counts, shares the read lock.
+// healthz, which reads clocks and counts, shares the read lock.
 func (s *FleetServer) apiRoutes() []route {
-	return []route{
+	// A write-locked per-host route settles or exports the host's
+	// state, which moves its metrics: its roll-up must refold.
+	dirty := func(h hostRef) { s.runner.MarkDirty(h.name) }
+	return append([]route{
 		{"GET", "/fleet/hosts", lockWrite, s.getHosts},
 		{"GET", "/fleet/report", lockWrite, s.getFleetReport},
 		{"POST", "/fleet/advance", lockWrite, s.postFleetAdvance},
@@ -122,14 +125,11 @@ func (s *FleetServer) apiRoutes() []route {
 		{"DELETE", "/fleet/tenants/{id}", lockWrite, s.deleteFleetTenant},
 		{"POST", "/fleet/tenants/{id}/migrate", lockWrite, s.postMigrate},
 		{"POST", "/fleet/rebalance", lockWrite, s.postRebalance},
-		{"POST", "/fleet/hosts/{host}/snapshot", lockWrite, s.postHostSnapshot},
 		{"GET", "/fleet/fabric/solver", lockWrite, s.getFleetSolver},
-		{"GET", "/fleet/hosts/{host}/journal", lockRead, s.getHostJournal},
-		// Canonical state fingerprints — what the e2e harness compares
-		// across a kill/restart cycle. Write lock: hashing exports
-		// state, which settles lazy fabric accounting.
+		// The fleet fingerprint the e2e harness compares across a
+		// kill/restart cycle. Write lock: hashing exports state, which
+		// settles lazy fabric accounting.
 		{"GET", "/fleet/state/hash", lockWrite, s.getFleetStateHash},
-		{"GET", "/fleet/hosts/{host}/state/hash", lockWrite, s.getHostStateHash},
 		{"GET", "/fleet/shards", lockRead, s.getFleetShards},
 		// The observability surface is lockNone: roll-ups read host
 		// registries through the same atomics the writers use, and a
@@ -142,7 +142,41 @@ func (s *FleetServer) apiRoutes() []route {
 		{"GET", "/fleet/remedy/policy", lockRead, s.getFleetRemedyPolicy},
 		{"PUT", "/fleet/remedy/policy", lockWrite, s.putFleetRemedyPolicy},
 		{"GET", "/healthz", lockRead, s.getFleetHealthz},
+	}, hostRoutes("/fleet/hosts/{host}", s.host, dirty)...)
+}
+
+// errNoSession answers per-host routes on fleet hosts built without a
+// snap session.
+var errNoSession = fmt.Errorf("journaling not enabled: host was built without a snap session")
+
+// host resolves the {host} path segment: 404 for a host the fleet does
+// not have or one without a session, 500 when its store cannot be
+// opened. lockNone routes look the host up under the read lock.
+func (s *FleetServer) host(w http.ResponseWriter, r *http.Request, lock lockMode) (hostRef, bool) {
+	if lock == lockNone {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
 	}
+	name := r.PathValue("host")
+	h := s.fleet.Host(name)
+	if h == nil {
+		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown host %q", name))
+		return hostRef{}, false
+	}
+	if h.Sess == nil {
+		writeErr(w, http.StatusNotFound, errNoSession)
+		return hostRef{}, false
+	}
+	ref := hostRef{name: h.Name, sess: h.Sess}
+	if s.fstore != nil {
+		st, err := s.fstore.Host(h.Name)
+		if err != nil {
+			writeErr(w, http.StatusInternalServerError, fmt.Errorf("open host store: %w", err))
+			return hostRef{}, false
+		}
+		ref.store = st
+	}
+	return ref, true
 }
 
 // Handler returns the fleet mux: the v1 table, the fleet runner's
@@ -318,57 +352,6 @@ func (s *FleetServer) postRebalance(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// pathHost resolves the {host} path segment, answering 404 (and
-// returning nil) when the fleet has no such host.
-func (s *FleetServer) pathHost(w http.ResponseWriter, r *http.Request) *fleet.Host {
-	h := s.fleet.Host(r.PathValue("host"))
-	if h == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown host %q", r.PathValue("host")))
-	}
-	return h
-}
-
-// postHostSnapshot checkpoints one host of the fleet. Fleet hosts
-// booted from -hosts-dir embed their spec document in the session
-// config, so the snapshot is self-describing: `ihdiag replay` can
-// verify it without the original directory.
-func (s *FleetServer) postHostSnapshot(w http.ResponseWriter, r *http.Request) {
-	h := s.pathHost(w, r)
-	if h == nil {
-		return
-	}
-	if h.Sess == nil {
-		writeErr(w, http.StatusNotFound, errNoSession)
-		return
-	}
-	var hs *store.Store
-	if s.fstore != nil {
-		var err error
-		if hs, err = s.fstore.Host(h.Name); err != nil {
-			writeErr(w, http.StatusInternalServerError, fmt.Errorf("open host store: %w", err))
-			return
-		}
-	}
-	writeSnapshot(w, h.Sess, hs, h.Name+"-snapshot.json")
-	// Snapshot encoding bumps the host's snap metrics.
-	s.runner.MarkDirty(h.Name)
-}
-
-// getHostStateHash returns one host's canonical state fingerprint.
-func (s *FleetServer) getHostStateHash(w http.ResponseWriter, r *http.Request) {
-	h := s.pathHost(w, r)
-	if h == nil {
-		return
-	}
-	out := map[string]any{"host": h.Name}
-	if h.Sess != nil {
-		out["journal_entries"] = h.Sess.Journal().Len()
-	}
-	writeStateHash(w, h.Mgr, out)
-	// Hashing exports state, which settles accounting metrics.
-	s.runner.MarkDirty(h.Name)
-}
-
 // getFleetStateHash folds every host's state hash — in host-name order,
 // so the digest is stable regardless of placement history — into one
 // fleet fingerprint. Two fleets with the same fingerprint are
@@ -376,19 +359,12 @@ func (s *FleetServer) getHostStateHash(w http.ResponseWriter, r *http.Request) {
 // this.
 func (s *FleetServer) getFleetStateHash(w http.ResponseWriter, _ *http.Request) {
 	hosts := s.fleet.Hosts()
-	names := make([]string, 0, len(hosts))
-	byName := make(map[string]*fleet.Host, len(hosts))
-	for _, h := range hosts {
-		names = append(names, h.Name)
-		byName[h.Name] = h
-	}
-	sort.Strings(names)
 	perHost := make(map[string]string, len(hosts))
 	digest := sha256.New()
-	for _, name := range names {
-		hash := snap.StateHash(byName[name].Mgr)
-		perHost[name] = hash
-		fmt.Fprintf(digest, "%s=%s\n", name, hash)
+	for _, h := range hosts {
+		hash := snap.StateHash(h.Mgr)
+		perHost[h.Name] = hash
+		fmt.Fprintf(digest, "%s=%s\n", h.Name, hash)
 	}
 	s.runner.MarkAllDirty()
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -397,18 +373,6 @@ func (s *FleetServer) getFleetStateHash(w http.ResponseWriter, _ *http.Request) 
 		"virtual_time_ns": int64(s.runner.Now()),
 		"host_hashes":     perHost,
 	})
-}
-
-func (s *FleetServer) getHostJournal(w http.ResponseWriter, r *http.Request) {
-	h := s.pathHost(w, r)
-	if h == nil {
-		return
-	}
-	if h.Sess == nil {
-		writeErr(w, http.StatusNotFound, errNoSession)
-		return
-	}
-	writeJournal(w, h.Sess)
 }
 
 // getFleetRollup serves the merged fleet snapshot as JSON: counters

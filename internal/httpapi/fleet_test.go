@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -278,4 +279,42 @@ func TestFleetQuarantineOverHTTP(t *testing.T) {
 	if hz.Hosts != 2 || hz.Quarantined != 1 {
 		t.Fatalf("healthz: %+v", hz)
 	}
+}
+
+// TestFleetHostLockFreeReadsDuringAdvance: the per-host lockNone
+// routes look their host up under the fleet's read lock, then read its
+// tracer while the fleet advances it. Run with -race.
+func TestFleetHostLockFreeReadsDuringAdvance(t *testing.T) {
+	s, _ := newFleetServer(t)
+	h := s.Handler()
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("GET", "/api/v1/fleet/hosts/box-a/trace/events?limit=1", nil))
+				if rec.Code != http.StatusOK {
+					t.Errorf("trace events during advance: status %d", rec.Code)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 4; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/api/v1/fleet/advance", strings.NewReader(`{"micros":500}`)))
+		if rec.Code != http.StatusOK {
+			t.Errorf("advance %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+	}
+	close(done)
+	wg.Wait()
 }

@@ -108,57 +108,95 @@ func (s *Server) Advance(d simtime.Duration) error {
 	return err
 }
 
-// apiRoutes is the server's v1 route table: the single source of
-// truth for Handler construction and for the route-completeness tests.
-// Patterns are paths below APIPrefix.
+// hostRef is the host a per-host route acts on: its name ("" on the
+// single-host server), its journaled session, and its durable store
+// (nil when persistence is not wired in).
+type hostRef struct {
+	name  string
+	sess  *snap.Session
+	store *store.Store
+}
+
+// hostRoutes mounts the per-host route table below prefix: Server
+// mounts it at /api/v1/, FleetServer at /api/v1/fleet/hosts/{host}/.
+// It holds every per-host route that leaves the host's clock, tenants
+// and session alone; a fleet host moves only at epoch barriers and
+// through placement. resolve finds
+// the addressed host under the route's lock (lockNone routes
+// synchronize on their own), or answers the error envelope and returns
+// false. wrote, when set, runs after each lockWrite handler.
 //
-// Lock discipline: lockRead endpoints touch only immutable or
-// copy-on-read state. lockWrite endpoints either mutate outright or
-// are "reads" that settle lazy fabric accounting (report, usage,
-// verify, telemetry). lockNone endpoints (trace events, experiments)
-// synchronize on their own and never stall the simulation — a wedged
-// simulation never hides the evidence.
-func (s *Server) apiRoutes() []route {
+// Lock discipline: lockRead routes touch only immutable or
+// copy-on-read state; lockWrite routes are "reads" that settle lazy
+// fabric accounting; lockNone routes never stall the simulation — a
+// wedged simulation never hides the evidence.
+func hostRoutes(prefix string, resolve func(http.ResponseWriter, *http.Request, lockMode) (hostRef, bool),
+	wrote func(hostRef)) []route {
+	mount := func(method, pattern string, lock lockMode, handle func(http.ResponseWriter, *http.Request, hostRef)) route {
+		return route{method, prefix + pattern, lock, func(w http.ResponseWriter, r *http.Request) {
+			h, ok := resolve(w, r, lock)
+			if !ok {
+				return
+			}
+			handle(w, r, h)
+			if wrote != nil && lock == lockWrite {
+				wrote(h)
+			}
+		}}
+	}
 	return []route{
-		{"GET", "/topology", lockRead, s.getTopology},
-		{"GET", "/report", lockWrite, s.getReport},
-		{"GET", "/alerts", lockRead, s.getAlerts},
-		{"GET", "/detections", lockRead, s.getDetections},
-		{"GET", "/tenants", lockRead, s.getTenants},
+		mount("GET", "/topology", lockRead, getTopology),
+		mount("GET", "/report", lockWrite, getReport),
+		mount("GET", "/alerts", lockRead, getAlerts),
+		mount("GET", "/detections", lockRead, getDetections),
+		mount("GET", "/tenants", lockRead, getTenants),
+		mount("GET", "/tenants/{id}/verify", lockWrite, getVerify),
+		mount("GET", "/tenants/{id}/usage", lockWrite, getTenantUsage),
+		mount("GET", "/telemetry", lockWrite, getTelemetry),
+		mount("GET", "/fabric/solver", lockWrite, getSolver),
+		mount("GET", "/trace/events", lockNone, getTraceEvents),
+		mount("GET", "/events", lockNone, getEvents),
+		// Snapshot takes the write lock: exporting state settles
+		// accounting.
+		mount("POST", "/snapshot", lockWrite, postSnapshot),
+		mount("GET", "/journal", lockRead, getJournal),
+		// Canonical state fingerprint — what the e2e harness compares
+		// across a kill/restart cycle. Write lock: hashing exports
+		// state, which settles lazy fabric accounting.
+		mount("GET", "/state/hash", lockWrite, getStateHash),
+	}
+}
+
+// apiRoutes is the server's v1 route table: the per-host table plus
+// the routes only a single-host daemon serves. It is the single source
+// of truth for Handler construction and for the route-completeness
+// tests. Patterns are paths below APIPrefix.
+func (s *Server) apiRoutes() []route {
+	return append(hostRoutes("", s.host, nil), []route{
 		{"POST", "/tenants", lockWrite, s.postTenant},
 		{"DELETE", "/tenants/{id}", lockWrite, s.deleteTenant},
 		{"POST", "/advance", lockWrite, s.postAdvance},
 		// Batched mutations: one envelope, one journal entry, one
 		// solver settle (see batch.go).
 		{"POST", "/batch", lockWrite, s.postBatch},
-		// Component-solver introspection. Write lock: sizing the live
-		// partition path-compresses the union-find.
-		{"GET", "/fabric/solver", lockWrite, s.getSolver},
 		{"GET", "/diag/ping", lockWrite, s.getPing},
 		{"GET", "/diag/trace", lockWrite, s.getTrace},
 		{"GET", "/diag/perf", lockWrite, s.getPerf},
-		{"GET", "/telemetry", lockWrite, s.getTelemetry},
-		{"GET", "/tenants/{id}/verify", lockWrite, s.getVerify},
-		{"GET", "/tenants/{id}/usage", lockWrite, s.getTenantUsage},
 		{"GET", "/experiments/{id}", lockNone, s.getExperiment},
-		// Checkpoint/restore and the command journal. Snapshot takes
-		// the write lock: exporting state settles accounting.
-		{"POST", "/snapshot", lockWrite, s.postSnapshot},
 		{"POST", "/restore", lockWrite, s.postRestore},
-		{"GET", "/journal", lockRead, s.getJournal},
-		// Canonical state fingerprint — what the e2e harness compares
-		// across a kill/restart cycle. Write lock: hashing exports
-		// state, which settles lazy fabric accounting.
-		{"GET", "/state/hash", lockWrite, s.getStateHash},
 		// Closed-loop remediation (unavailable unless the daemon was
 		// started with -remedy).
 		{"GET", "/remedy/status", lockRead, s.getRemedyStatus},
 		{"GET", "/remedy/policy", lockRead, s.getRemedyPolicy},
 		{"PUT", "/remedy/policy", lockWrite, s.putRemedyPolicy},
-		{"GET", "/trace/events", lockNone, s.getTraceEvents},
-		{"GET", "/events", lockNone, s.getEvents},
 		{"GET", "/healthz", lockRead, s.getHealthz},
-	}
+	}...)
+}
+
+// host resolves the server's one host. The session pointer is atomic
+// and the store is set before serving, so lockNone routes need no lock.
+func (s *Server) host(http.ResponseWriter, *http.Request, lockMode) (hostRef, bool) {
+	return hostRef{sess: s.sess.Load(), store: s.store}, true
 }
 
 // Handler returns the API mux: the v1 table under /api/v1/ and the
@@ -202,8 +240,8 @@ type topologyDTO struct {
 	Links      []linkDTO      `json:"links"`
 }
 
-func (s *Server) getTopology(w http.ResponseWriter, _ *http.Request) {
-	topo := s.Manager().Topology()
+func getTopology(w http.ResponseWriter, _ *http.Request, h hostRef) {
+	topo := h.sess.Manager().Topology()
 	out := topologyDTO{Name: topo.Name}
 	for _, c := range topo.Components() {
 		out.Components = append(out.Components, componentDTO{
@@ -234,8 +272,8 @@ type reportDTO struct {
 	Congested     []string                      `json:"congested,omitempty"`
 }
 
-func (s *Server) getReport(w http.ResponseWriter, _ *http.Request) {
-	rep := s.Manager().Monitor().UsageReport()
+func getReport(w http.ResponseWriter, _ *http.Request, h hostRef) {
+	rep := h.sess.Manager().Monitor().UsageReport()
 	out := reportDTO{
 		VirtualTimeNs: int64(rep.At),
 		Tenants:       make(map[string]map[string]float64),
@@ -266,11 +304,11 @@ func (s *Server) getReport(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-func (s *Server) getAlerts(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Manager().Monitor().Alerts())
+func getAlerts(w http.ResponseWriter, _ *http.Request, h hostRef) {
+	writeJSON(w, http.StatusOK, h.sess.Manager().Monitor().Alerts())
 }
 
-func (s *Server) getDetections(w http.ResponseWriter, _ *http.Request) {
+func getDetections(w http.ResponseWriter, _ *http.Request, h hostRef) {
 	type suspectDTO struct {
 		Link  string  `json:"link"`
 		Score float64 `json:"score"`
@@ -282,7 +320,7 @@ func (s *Server) getDetections(w http.ResponseWriter, _ *http.Request) {
 		Suspects []suspectDTO `json:"suspects"`
 	}
 	var out []detectionDTO
-	for _, d := range s.Manager().Anomaly().Detections() {
+	for _, d := range h.sess.Manager().Anomaly().Detections() {
 		dd := detectionDTO{AtNs: int64(d.At), Pair: d.Pair.String(), Lost: d.Lost}
 		for _, su := range d.Suspects {
 			dd.Suspects = append(dd.Suspects, suspectDTO{Link: string(su.Link), Score: su.Score})
@@ -363,13 +401,13 @@ func (s *Server) deleteTenant(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"evicted": id})
 }
 
-func (s *Server) getTenants(w http.ResponseWriter, _ *http.Request) {
+func getTenants(w http.ResponseWriter, _ *http.Request, h hostRef) {
 	type tenantDTO struct {
 		ID      string   `json:"id"`
 		Targets []string `json:"targets"`
 	}
 	out := []tenantDTO{}
-	for _, t := range s.Manager().Tenants() {
+	for _, t := range h.sess.Manager().Tenants() {
 		td := tenantDTO{ID: string(t.ID)}
 		for _, target := range t.Targets {
 			td.Targets = append(td.Targets, target.String())
@@ -476,9 +514,9 @@ func (s *Server) getPerf(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) getVerify(w http.ResponseWriter, r *http.Request) {
+func getVerify(w http.ResponseWriter, r *http.Request, h hostRef) {
 	id := fabric.TenantID(r.PathValue("id"))
-	vs, err := s.Manager().VerifyTenant(id)
+	vs, err := h.sess.Manager().VerifyTenant(id)
 	if err != nil {
 		writeErr(w, http.StatusNotFound, err)
 		return
@@ -502,9 +540,9 @@ func (s *Server) getVerify(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-func (s *Server) getTenantUsage(w http.ResponseWriter, r *http.Request) {
+func getTenantUsage(w http.ResponseWriter, r *http.Request, h hostRef) {
 	id := fabric.TenantID(r.PathValue("id"))
-	rec := s.Manager().Tenant(id)
+	rec := h.sess.Manager().Tenant(id)
 	if rec == nil {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown tenant %q", id))
 		return
@@ -516,7 +554,7 @@ func (s *Server) getTenantUsage(w http.ResponseWriter, r *http.Request) {
 		Utilization  float64 `json:"utilization"`
 	}
 	var out []usageDTO
-	for _, lu := range rec.View.UsageReport(s.Manager().Fabric()) {
+	for _, lu := range rec.View.UsageReport(h.sess.Manager().Fabric()) {
 		out = append(out, usageDTO{
 			Link: string(lu.Link), AllocatedBps: float64(lu.Allocated),
 			UsedBps: float64(lu.Used), Utilization: lu.Utilization,
@@ -525,8 +563,8 @@ func (s *Server) getTenantUsage(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-func (s *Server) getTelemetry(w http.ResponseWriter, r *http.Request) {
-	pl := s.Manager().Telemetry()
+func getTelemetry(w http.ResponseWriter, r *http.Request, h hostRef) {
+	pl := h.sess.Manager().Telemetry()
 	if pl == nil {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("telemetry pipeline disabled"))
 		return
@@ -611,8 +649,8 @@ type traceEventDTO struct {
 // getTraceEvents dumps the event ring as JSON, oldest first. Query
 // params: kind= filters by event kind name, limit= keeps only the
 // newest N matching events.
-func (s *Server) getTraceEvents(w http.ResponseWriter, r *http.Request) {
-	tr := s.Manager().Obs().Tracer
+func getTraceEvents(w http.ResponseWriter, r *http.Request, h hostRef) {
+	tr := h.sess.Manager().Obs().Tracer
 	q := r.URL.Query()
 	var kindFilter obs.EventKind
 	if v := q.Get("kind"); v != "" {
@@ -656,8 +694,8 @@ func (s *Server) getTraceEvents(w http.ResponseWriter, r *http.Request) {
 // getEvents streams the host's live event bus as server-sent events.
 // lockNone: the bus synchronizes on its own and a stalled client must
 // never hold a server lock.
-func (s *Server) getEvents(w http.ResponseWriter, r *http.Request) {
-	streamSSE(w, r, s.Manager().Obs().Bus)
+func getEvents(w http.ResponseWriter, r *http.Request, h hostRef) {
+	streamSSE(w, r, h.sess.Manager().Obs().Bus)
 }
 
 // buildVersion reports the main module version from build info
@@ -761,23 +799,16 @@ func boolStatus(ok bool, yes, no string) string {
 	return no
 }
 
-// errNoSession is returned by the per-host checkpoint endpoints for
-// fleet hosts built without a snap session.
-var errNoSession = fmt.Errorf("journaling not enabled: host was built without a snap session")
-
-// postSnapshot writes a checkpoint of the live session as the response
-// body — a complete ihnet-snapshot document the client can save and
-// later POST to /api/v1/restore or feed to `ihdiag replay`.
-func (s *Server) postSnapshot(w http.ResponseWriter, _ *http.Request) {
-	writeSnapshot(w, s.sess.Load(), s.store, "ihnet-snapshot.json")
-}
-
-// writeSnapshot is the snapshot response both servers share. With a
+// postSnapshot writes a checkpoint of the host's session as the
+// response body — a complete ihnet-snapshot document the client can
+// save and later POST to /api/v1/restore or feed to `ihdiag replay`.
+// Fleet hosts booted from -hosts-dir embed their spec document in the
+// session config, so their snapshots are self-describing too. With a
 // store attached the checkpoint is persisted first, and the X-Store-*
 // headers report what it cost.
-func writeSnapshot(w http.ResponseWriter, sess *snap.Session, st *store.Store, filename string) {
-	if st != nil {
-		info, err := st.SaveSnapshot(sess.BuildPayload())
+func postSnapshot(w http.ResponseWriter, _ *http.Request, h hostRef) {
+	if h.store != nil {
+		info, err := h.store.SaveSnapshot(h.sess.BuildPayload())
 		if err != nil {
 			writeErr(w, http.StatusInternalServerError, fmt.Errorf("persist checkpoint: %w", err))
 			return
@@ -786,9 +817,13 @@ func writeSnapshot(w http.ResponseWriter, sess *snap.Session, st *store.Store, f
 		w.Header().Set("X-Store-Chunks-Written", strconv.Itoa(info.ChunksWritten))
 		w.Header().Set("X-Store-Chunks-Reused", strconv.Itoa(info.ChunksReused))
 	}
+	filename := "ihnet-snapshot.json"
+	if h.name != "" {
+		filename = h.name + "-snapshot.json"
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", filename))
-	if err := sess.Snapshot(w); err != nil {
+	if err := h.sess.Snapshot(w); err != nil {
 		// Headers are gone; the truncated body will fail checksum
 		// verification client-side, which is the protection we want.
 		fmt.Fprintf(w, "\n{\"error\": %q}\n", err.Error())
@@ -798,24 +833,38 @@ func writeSnapshot(w http.ResponseWriter, sess *snap.Session, st *store.Store, f
 // postRestore replaces the live session with one rebuilt from the
 // posted snapshot. The swap is atomic under the write lock: until the
 // replayed state verifies against the recorded hash, the old session
-// keeps serving.
+// keeps serving. A wired remediation controller watches the old
+// manager, so it is rebuilt over the restored one with the same policy.
 func (s *Server) postRestore(w http.ResponseWriter, r *http.Request) {
 	restored, err := snap.Restore(r.Body)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
+	var rem *remedy.Controller
+	if s.rem != nil {
+		if rem, err = remedy.New(restored.Manager(), remedy.SessionActuator{Sess: restored},
+			remedy.Options{Policy: s.rem.Policy()}); err != nil {
+			writeErr(w, http.StatusInternalServerError, fmt.Errorf("rebuild remediation: %w", err))
+			return
+		}
+	}
 	// Rewrite the durable store to match the incoming session before
 	// the swap: if the rewrite fails the old session keeps serving and
 	// the store still describes it.
 	if s.store != nil {
 		if err := s.store.Reset(restored.Config(), restored.Journal().Entries); err != nil {
+			rem.Close()
 			writeErr(w, http.StatusInternalServerError, fmt.Errorf("rewrite store: %w", err))
 			return
 		}
 		s.store.Resume(restored)
 	}
-	s.sess.Swap(restored).Manager().Stop()
+	old := s.sess.Swap(restored)
+	old.SetSink(nil)
+	old.Manager().Stop()
+	s.rem.Close()
+	s.rem = rem
 	writeJSON(w, http.StatusOK, map[string]any{
 		"restored":        true,
 		"virtual_time_ns": int64(restored.Now()),
@@ -827,34 +876,29 @@ func (s *Server) postRestore(w http.ResponseWriter, r *http.Request) {
 // getStateHash returns the canonical state fingerprint plus enough
 // context (virtual time, journal length, store occupancy) for the e2e
 // harness to assert byte-identical recovery after a kill/restart.
-func (s *Server) getStateHash(w http.ResponseWriter, _ *http.Request) {
-	sess := s.sess.Load()
-	out := map[string]any{"journal_entries": sess.Journal().Len()}
-	if s.store != nil {
-		st := s.store.Stats()
+// Fleet hosts also carry their name.
+func getStateHash(w http.ResponseWriter, _ *http.Request, h hostRef) {
+	mgr := h.sess.Manager()
+	out := map[string]any{
+		"journal_entries": h.sess.Journal().Len(),
+		"state_hash":      snap.StateHash(mgr),
+		"virtual_time_ns": int64(mgr.Engine().Now()),
+	}
+	if h.name != "" {
+		out["host"] = h.name
+	}
+	if h.store != nil {
+		st := h.store.Stats()
 		out["store_wal_records"] = st.WalRecords
 		out["store_snapshot_seq"] = st.SnapshotSeq
 	}
-	writeStateHash(w, sess.Manager(), out)
-}
-
-// writeStateHash is the state-hash response both servers share: out,
-// plus the host's canonical fingerprint and virtual clock.
-func writeStateHash(w http.ResponseWriter, mgr *core.Manager, out map[string]any) {
-	out["state_hash"] = snap.StateHash(mgr)
-	out["virtual_time_ns"] = int64(mgr.Engine().Now())
 	writeJSON(w, http.StatusOK, out)
 }
 
 // getJournal serves the recorded command log.
-func (s *Server) getJournal(w http.ResponseWriter, _ *http.Request) {
-	writeJournal(w, s.sess.Load())
-}
-
-// writeJournal is the journal response both servers share.
-func writeJournal(w http.ResponseWriter, sess *snap.Session) {
+func getJournal(w http.ResponseWriter, _ *http.Request, h hostRef) {
 	w.Header().Set("Content-Type", "application/json")
-	j := sess.Journal()
+	j := h.sess.Journal()
 	_ = j.Encode(w)
 }
 

@@ -107,7 +107,9 @@ func putPolicy(w http.ResponseWriter, r *http.Request, c remedyController) {
 
 // SetRemedy wires a remediation controller into the server: the status
 // and policy endpoints come alive, Advance steps the control loop, and
-// healthz gains the remedy subsystem. Call before serving traffic.
+// healthz gains the remedy subsystem. Call before serving traffic. The
+// server owns c from here: POST /restore closes it and rebuilds one,
+// with the same policy, over the restored session.
 func (s *Server) SetRemedy(c *remedy.Controller) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

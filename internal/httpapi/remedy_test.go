@@ -206,3 +206,59 @@ func TestFleetRemedyEndpoints(t *testing.T) {
 		t.Fatalf("empty rule table accepted: %d", code)
 	}
 }
+
+// TestRemedyFollowsRestore: POST /restore swaps in a new session, and
+// the controller must follow it. A controller left watching the old,
+// stopped manager sees no fault on the live host, so a degrade after
+// the restore would be detected but never remediated.
+func TestRemedyFollowsRestore(t *testing.T) {
+	opts := core.DefaultOptions()
+	sess, err := snap.NewSession(snap.Config{Preset: "two-socket", Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewWithSession(sess)
+	pol := remedy.DefaultPolicy()
+	pol.CooldownUs++
+	ctrl, err := remedy.New(sess.Manager(), remedy.SessionActuator{Sess: sess},
+		remedy.Options{Policy: pol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetRemedy(ctrl)
+	t.Cleanup(func() { s.rem.Close() })
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	acfg := opts.Anomaly
+	s.Advance(simtime.Duration(acfg.CalibrationRounds+5) * acfg.Period)
+	resp, err := http.Post(ts.URL+"/api/v1/snapshot", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var checkpoint bytes.Buffer
+	_, err = checkpoint.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("snapshot: %d %v", resp.StatusCode, err)
+	}
+	if code := postJSON(t, ts.URL+"/api/v1/restore", checkpoint.String(), nil); code != http.StatusOK {
+		t.Fatalf("restore: %d", code)
+	}
+	if err := s.sess.Load().DegradeLink("cpu0->cpu1", 0, 50*simtime.Microsecond); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		s.Advance(acfg.Period)
+	}
+	var st remedyStatusDTO
+	if code := getJSON(t, ts.URL+"/api/v1/remedy/status", &st); code != http.StatusOK {
+		t.Fatalf("remedy status: %d", code)
+	}
+	if st.Degraded || st.Stats.Incidents != 1 || st.Stats.Resolved != 1 {
+		t.Fatalf("remedy status after a degrade on the restored host: %+v", st.Stats)
+	}
+	if got := s.rem.Policy(); got.CooldownUs != pol.CooldownUs {
+		t.Fatalf("rebuilt controller lost its policy: cooldown %d, want %d", got.CooldownUs, pol.CooldownUs)
+	}
+}

@@ -274,9 +274,10 @@ func New(mgr *core.Manager, act Actuator, opts Options) (*Controller, error) {
 	return c, nil
 }
 
-// Close detaches the bus subscription.
+// Close detaches the bus subscription. Closing a nil controller is a
+// no-op.
 func (c *Controller) Close() {
-	if c.sub != nil {
+	if c != nil && c.sub != nil {
 		c.sub.Close()
 	}
 }

@@ -78,7 +78,7 @@ bench-json:
 # with -timeout 0 because building a 10k-host fleet alone outlasts the
 # default 10m test timeout.
 bench-json-obs:
-	{ $(GO) test -bench 'BenchmarkBusPublish' -benchtime 100x -benchmem -run '^$$' ./internal/obs; \
+	{ $(GO) test -bench 'BenchmarkBusPublish|BenchmarkTracerEmit' -benchtime 100x -benchmem -run '^$$' ./internal/obs; \
 	  $(GO) test -bench 'BenchmarkFleetRollup' -benchtime 10x -benchmem -run '^$$' ./internal/fleet; \
 	  $(GO) test -bench 'BenchmarkFleetRunFor/hosts=(1024|10000)/sharded' -benchtime 1x -benchmem -timeout 0 -run '^$$' ./internal/fleet; } \
 		| $(GO) run ./cmd/benchjson -out BENCH_obs.json

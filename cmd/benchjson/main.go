@@ -41,8 +41,9 @@ import (
 // BENCH_fabric.json: the steady-state recompute budget is the whole
 // point of the incremental engine — zero.
 //
-// BENCH_obs.json: the event-bus publish path runs inside the
-// simulation hot loop, so it must not allocate at all, fan-out or not.
+// BENCH_obs.json: the event-bus publish path and the tracer emit path
+// that feeds it run inside the simulation hot loop, so they must not
+// allocate at all, fan-out or not.
 // The steady-state fleet roll-up (one dirty shard between scrapes)
 // reuses per-runner scratch accumulators, so its budget is a flat 64
 // allocs/op regardless of host count — any O(hosts) allocation growth
@@ -68,6 +69,7 @@ var allocBudgetsByFile = map[string]map[string]int64{
 	"BENCH_obs.json": {
 		"BenchmarkBusPublish":        0,
 		"BenchmarkBusPublishFanout8": 0,
+		"BenchmarkTracerEmit":        0,
 		// Steady-state scrape: one shard refold + S-way merge from
 		// cached snapshots. Observed ~32 allocs/op at every tier.
 		"BenchmarkFleetRollup/hosts=16":   64,

@@ -126,3 +126,19 @@ func TestFabricBudgetsCoverAllTiers(t *testing.T) {
 		}
 	}
 }
+
+// TestObsBudgetsGateHotPaths: the obs benchmarks on the simulation hot
+// path — bus publish, with and without fan-out, and the tracer emit
+// that feeds it — are budgeted at zero allocations.
+func TestObsBudgetsGateHotPaths(t *testing.T) {
+	budgets := allocBudgetsByFile["BENCH_obs.json"]
+	for _, name := range []string{
+		"BenchmarkBusPublish",
+		"BenchmarkBusPublishFanout8",
+		"BenchmarkTracerEmit",
+	} {
+		if b, ok := budgets[name]; !ok || b != 0 {
+			t.Errorf("BENCH_obs.json budget for %s = %d (present %v), want 0", name, b, ok)
+		}
+	}
+}

@@ -54,9 +54,10 @@ type Options struct {
 	// history queries of the HTTP API.
 	EnableTelemetry bool
 	Telemetry       telemetry.PipelineConfig
-	// TraceCapacity bounds the observability event ring (flow
-	// lifecycle, cap changes, scheduler decisions, detections). Zero
-	// means the default (8192); negative disables event tracing.
+	// TraceCapacity sizes the host's one event log — the obs bus's
+	// replay ring, which trace dumps, SSE streams and resume all read
+	// (flow lifecycle, cap changes, scheduler decisions, detections).
+	// Zero means the default (8192); negative disables event tracing.
 	// Metrics are always on — their hot-path cost is a few atomics.
 	TraceCapacity int
 }
@@ -163,7 +164,7 @@ func New(topo *topology.Topology, opts Options) (*Manager, error) {
 			return nil, err
 		}
 	}
-	// Self-observability: one registry + event ring threaded through
+	// Self-observability: one registry + event log threaded through
 	// every subsystem. The fabric, arbiter, platform and scheduler all
 	// record into it; the HTTP API and the CLIs export it.
 	traceCap := opts.TraceCapacity

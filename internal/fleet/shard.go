@@ -287,7 +287,7 @@ func NewShardedRunner(f *Fleet, cfg ShardConfig) *ShardedRunner {
 	}
 	if cfg.Bus != nil {
 		for _, h := range hosts {
-			h.Mgr.Obs().Tracer.Bus().ForwardTo(cfg.Bus, h.Name)
+			h.Mgr.Obs().Bus.ForwardTo(cfg.Bus, h.Name)
 		}
 	}
 	reg := cfg.Registry

@@ -631,7 +631,9 @@ func (s *Server) getMetrics(w http.ResponseWriter, _ *http.Request) {
 type traceEventDTO struct {
 	// BusSeq is the stream position assigned by the fan-out bus (the
 	// SSE frame id); zero on plain ring dumps.
-	BusSeq    uint64  `json:"bus_seq,omitempty"`
+	BusSeq uint64 `json:"bus_seq,omitempty"`
+	// Seq is the event's 1-based position on its originating host's
+	// bus: equal to BusSeq on a host stream.
 	Seq       uint64  `json:"seq"`
 	VirtualNs int64   `json:"virtual_ns"`
 	WallNs    int64   `json:"wall_ns"`
@@ -646,7 +648,7 @@ type traceEventDTO struct {
 	Host string `json:"host,omitempty"`
 }
 
-// getTraceEvents dumps the event ring as JSON, oldest first. Query
+// getTraceEvents dumps the host's event log as JSON, oldest first. Query
 // params: kind= filters by event kind name, limit= keeps only the
 // newest N matching events.
 func getTraceEvents(w http.ResponseWriter, r *http.Request, h hostRef) {
@@ -863,6 +865,9 @@ func (s *Server) postRestore(w http.ResponseWriter, r *http.Request) {
 	old := s.sess.Swap(restored)
 	old.SetSink(nil)
 	old.Manager().Stop()
+	// End the old host's event streams: their clients reconnect and
+	// subscribe to the restored host's bus.
+	old.Manager().Obs().Bus.Close()
 	s.rem.Close()
 	s.rem = rem
 	writeJSON(w, http.StatusOK, map[string]any{

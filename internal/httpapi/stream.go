@@ -51,7 +51,8 @@ func parseResumeSeq(r *http.Request) (uint64, error) {
 // type, and the JSON envelope as data. The subscription's ring
 // absorbs bursts; when the client is slower than the simulation the
 // ring overwrites and the client observes a sequence gap — the
-// explicit, counted alternative to blocking the hot path.
+// explicit, counted alternative to blocking the hot path. The stream
+// ends when the bus closes (a restore replaced the host).
 func streamSSE(w http.ResponseWriter, r *http.Request, bus *obs.Bus) {
 	if bus == nil {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("event streaming unavailable: tracing is disabled"))
@@ -98,7 +99,10 @@ func streamSSE(w http.ResponseWriter, r *http.Request, bus *obs.Bus) {
 		select {
 		case <-r.Context().Done():
 			return
-		case <-sub.Ready():
+		case _, open := <-sub.Ready():
+			if !open {
+				return // the host was replaced; the client reconnects to the live one
+			}
 		case <-keepalive.C:
 			if _, err := fmt.Fprint(w, ": keepalive\n\n"); err != nil {
 				return
@@ -119,8 +123,9 @@ func writeSSEFrame(w http.ResponseWriter, be obs.BusEvent) error {
 }
 
 // busEventDTO converts a bus event to the wire envelope. BusSeq is
-// the fleet/host stream position (the SSE id); Seq remains the
-// originating tracer's ring sequence.
+// the stream position (the SSE id); Seq is the originating host's bus
+// position — the same number on a host stream, the host's on the
+// fleet stream.
 func busEventDTO(be obs.BusEvent) traceEventDTO {
 	ev := be.Event
 	return traceEventDTO{

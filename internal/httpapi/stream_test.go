@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -142,6 +143,108 @@ func TestEventsSSEResume(t *testing.T) {
 	resumed := readSSE(t, ctx, ts.URL+"/api/v1/events", h, 5)
 	if resumed[0].ID != last+1 {
 		t.Fatalf("resume after %d started at %d, want %d", last, resumed[0].ID, last+1)
+	}
+}
+
+// traceIndex fetches a host's /trace/events dump keyed by seq.
+func traceIndex(t *testing.T, url string) map[uint64]traceEventDTO {
+	t.Helper()
+	var out struct {
+		Events []traceEventDTO `json:"events"`
+	}
+	if code := getJSON(t, url, &out); code != 200 {
+		t.Fatalf("%s: status %d", url, code)
+	}
+	idx := make(map[uint64]traceEventDTO, len(out.Events))
+	for _, ev := range out.Events {
+		idx[ev.Seq] = ev
+	}
+	return idx
+}
+
+// sameEvent reports whether two wire events describe one occurrence.
+func sameEvent(a, b traceEventDTO) bool {
+	return a.WallNs == b.WallNs && a.VirtualNs == b.VirtualNs && a.Kind == b.Kind && a.Subject == b.Subject
+}
+
+// TestTraceSeqIsSSEID: a host keeps one event log, so the seq an event
+// carries in /trace/events is the SSE id it streams under.
+func TestTraceSeqIsSSEID(t *testing.T) {
+	s, ts := newServer(t)
+	s.Advance(simtime.Millisecond)
+	trace := traceIndex(t, ts.URL+"/api/v1/trace/events")
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	frames := readSSE(t, ctx, fmt.Sprintf("%s/api/v1/events?since=0&buffer=%d", ts.URL, len(trace)), nil, len(trace))
+	if len(frames) != len(trace) || len(frames) == 0 {
+		t.Fatalf("got %d frames, /trace/events holds %d", len(frames), len(trace))
+	}
+	for _, f := range frames {
+		if f.Data.Seq != f.ID || f.Data.BusSeq != f.ID {
+			t.Fatalf("frame id %d carries seq %d, bus_seq %d", f.ID, f.Data.Seq, f.Data.BusSeq)
+		}
+		if ev, ok := trace[f.ID]; !ok || !sameEvent(ev, f.Data) {
+			t.Fatalf("SSE id %d is %+v, /trace/events seq %d is %+v", f.ID, f.Data, f.ID, ev)
+		}
+	}
+}
+
+// TestRestoreEndsEventStreams: a restore replaces the host and its
+// bus, so streams on the old bus end (EventSource reconnects) and a new
+// stream follows the restored host.
+func TestRestoreEndsEventStreams(t *testing.T) {
+	s, ts := newServer(t)
+	s.Advance(100 * simtime.Microsecond)
+	resp, err := http.Post(ts.URL+"/api/v1/snapshot", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapBytes, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != 200 {
+		t.Fatalf("snapshot status %d: %v", resp.StatusCode, err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/api/v1/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	ended := make(chan struct{})
+	go func() {
+		defer close(ended)
+		io.Copy(io.Discard, stream.Body)
+	}()
+
+	resp, err = http.Post(ts.URL+"/api/v1/restore", "application/json", bytes.NewReader(snapBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("restore status %d", resp.StatusCode)
+	}
+	select {
+	case <-ended:
+	case <-time.After(5 * time.Second):
+		t.Fatal("event stream on the replaced host stayed open after restore")
+	}
+	if ctx.Err() != nil {
+		t.Fatal("stream ended by the client deadline, not by the restore")
+	}
+
+	// A reconnected stream reads the restored host's bus.
+	s.Advance(100 * simtime.Microsecond)
+	restoredSeq := s.Manager().Obs().Bus.Seq()
+	frames := readSSE(t, ctx, fmt.Sprintf("%s/api/v1/events?since=%d", ts.URL, restoredSeq-3), nil, 3)
+	if len(frames) != 3 || frames[2].ID != restoredSeq {
+		t.Fatalf("reconnected stream: %d frames, last id %v, restored bus at %d", len(frames), frames, restoredSeq)
 	}
 }
 
@@ -473,5 +576,47 @@ func TestFleetEventsSSE(t *testing.T) {
 	}
 	if epochs == 0 {
 		t.Error("no epoch barrier events in the fleet stream")
+	}
+}
+
+// TestFleetEventSeqIsHostSeq: an event forwarded to the fleet stream
+// keeps its host's seq — the seq of the same event in that host's
+// /trace/events and its SSE id on the host's own stream — while
+// bus_seq is the fleet position.
+func TestFleetEventSeqIsHostSeq(t *testing.T) {
+	s, ts := newFleetServer(t)
+	s.Advance(2 * simtime.Millisecond)
+	hostURL := ts.URL + "/api/v1/fleet/hosts/box-a"
+	trace := traceIndex(t, hostURL+"/trace/events")
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	published := min(int(s.Runner().Bus().Seq()), fleetBusCapacity)
+	frames := readSSE(t, ctx, fmt.Sprintf("%s/api/v1/fleet/events?since=0&buffer=%d", ts.URL, published), nil, published)
+	if len(frames) != published {
+		t.Fatalf("fleet stream replayed %d of %d events", len(frames), published)
+	}
+	var forwarded []sseFrame
+	for _, f := range frames {
+		if f.Data.Host != "box-a" {
+			continue
+		}
+		if f.Data.BusSeq != f.ID {
+			t.Fatalf("fleet frame id %d carries bus_seq %d", f.ID, f.Data.BusSeq)
+		}
+		if ev, ok := trace[f.Data.Seq]; ok {
+			if !sameEvent(ev, f.Data) {
+				t.Fatalf("fleet event seq %d is %+v, host /trace/events seq %d is %+v",
+					f.Data.Seq, f.Data, f.Data.Seq, ev)
+			}
+			forwarded = append(forwarded, f)
+		}
+	}
+	if len(forwarded) < 10 {
+		t.Fatalf("only %d box-a fleet events found in the host's trace", len(forwarded))
+	}
+	first := forwarded[0].Data
+	host := readSSE(t, ctx, fmt.Sprintf("%s/events?since=%d", hostURL, first.Seq-1), nil, 1)
+	if len(host) != 1 || host[0].ID != first.Seq || !sameEvent(host[0].Data, first) {
+		t.Fatalf("host stream at id %d: %+v, fleet event %+v", first.Seq, host, first)
 	}
 }

@@ -5,38 +5,39 @@ import (
 )
 
 // BusEvent is one published event wrapped with the bus's own
-// monotonically increasing sequence number. Per-host tracer sequence
-// numbers collide once a fleet fans events into one stream, so the
-// bus stamps its own — that number is what SSE uses as the event id
-// and what Last-Event-ID resume is relative to.
+// monotonically increasing sequence number — what SSE uses as the
+// event id and what Last-Event-ID resume is relative to. On a host bus
+// it equals Event.Seq; on the fleet bus Event.Seq stays the
+// originating host's number, which collide across hosts.
 type BusEvent struct {
 	Seq   uint64
 	Event Event
 }
 
-// Bus fans events out to subscribers without ever blocking the
-// publisher. Each subscriber owns a fixed-size ring: when a consumer
-// stalls, its oldest events are overwritten and a drop counter
-// increments — the simulation hot path pays one short mutex and some
-// copies per subscriber, never a wait. A bounded replay ring lets a
-// reconnecting subscriber resume from a recent sequence number.
+// Bus is a host's event log and its live fan-out. A bounded replay
+// ring retains the newest events (the tracer's Snapshot and a
+// reconnecting subscriber's resume both read it), and each subscriber
+// owns a fixed-size ring: when a consumer stalls, its oldest events
+// are overwritten and a drop counter increments — the simulation hot
+// path pays one short mutex and some copies per subscriber, never a
+// wait.
 //
 // The zero Bus is not usable; NewBus allocates everything up front so
 // Publish performs no allocation.
 type Bus struct {
-	mu      sync.Mutex
-	seq     uint64
-	ring    []BusEvent // replay ring, indexed by seq % len
-	subs    []*Subscription
-	forward []forwardTarget
+	mu     sync.Mutex
+	seq    uint64
+	ring   []BusEvent // replay ring, indexed by seq % len
+	subs   []*Subscription
+	closed bool
+
+	// parent, when set, receives a copy of every event, tagged with
+	// host (the fleet stream).
+	parent *Bus
+	host   string
 
 	drop    *Counter // counts ring-overwrite drops across all subscribers
 	dropped uint64
-}
-
-type forwardTarget struct {
-	parent *Bus
-	host   string
 }
 
 // NewBus returns a bus retaining up to capacity events for resume.
@@ -61,27 +62,35 @@ func (b *Bus) SetDropCounter(c *Counter) {
 
 // ForwardTo mirrors every event published on b into parent, stamping
 // Host so the fleet stream can say which host each event came from.
-// Forwarding is set up once at wiring time; cycles are the caller's
+// A second call replaces the parent; cycles are the caller's
 // responsibility to avoid.
 func (b *Bus) ForwardTo(parent *Bus, host string) {
-	if b == nil || parent == nil {
+	if b == nil {
 		return
 	}
 	b.mu.Lock()
-	b.forward = append(b.forward, forwardTarget{parent: parent, host: host})
+	b.parent, b.host = parent, host
 	b.mu.Unlock()
 }
 
 // Publish stamps ev with the next bus sequence number and delivers it
 // to every subscriber ring. It never blocks and never allocates: slow
 // subscribers lose their oldest event (counted), fast ones are nudged
-// through an already-buffered channel.
-func (b *Bus) Publish(ev Event) {
+// through an already-buffered channel. ev.Seq is left as given, so a
+// forwarded event keeps its host's number.
+func (b *Bus) Publish(ev Event) { b.publish(ev, false) }
+
+// publish is Publish; own marks the host's own (traced) event, whose
+// Event.Seq becomes its bus position so every reader sees one number.
+func (b *Bus) publish(ev Event, own bool) {
 	if b == nil {
 		return
 	}
 	b.mu.Lock()
 	b.seq++
+	if own {
+		ev.Seq = b.seq
+	}
 	be := BusEvent{Seq: b.seq, Event: ev}
 	b.ring[b.seq%uint64(len(b.ring))] = be
 	for _, s := range b.subs {
@@ -90,32 +99,65 @@ func (b *Bus) Publish(ev Event) {
 			b.drop.Inc()
 		}
 	}
-	nf := len(b.forward)
-	var fwd [4]forwardTarget
-	n := copy(fwd[:], b.forward)
+	parent, host := b.parent, b.host
 	b.mu.Unlock()
 	// Forward outside the lock: parent.Publish takes the parent's
 	// mutex and must not nest inside ours.
-	for i := 0; i < n; i++ {
-		fev := ev
-		if fev.Host == "" {
-			fev.Host = fwd[i].host
+	if parent != nil {
+		if ev.Host == "" {
+			ev.Host = host
 		}
-		fwd[i].parent.Publish(fev)
+		parent.Publish(ev)
 	}
-	if nf > len(fwd) {
-		// More than fits the stack copy — rare wiring; take the slow path.
-		b.mu.Lock()
-		rest := append([]forwardTarget(nil), b.forward[n:]...)
-		b.mu.Unlock()
-		for _, t := range rest {
-			fev := ev
-			if fev.Host == "" {
-				fev.Host = t.host
-			}
-			t.parent.Publish(fev)
+}
+
+// replay calls fn on every retained event with a sequence number
+// greater than after, oldest first. The caller holds b.mu.
+func (b *Bus) replay(after uint64, fn func(BusEvent)) {
+	if after >= b.seq {
+		return
+	}
+	n := uint64(len(b.ring))
+	start := after + 1
+	if b.seq > n && b.seq-n+1 > start {
+		start = b.seq - n + 1
+	}
+	for q := start; q <= b.seq; q++ {
+		if be := b.ring[q%n]; be.Seq == q {
+			fn(be)
 		}
 	}
+}
+
+// events returns the retained events, oldest first.
+func (b *Bus) events() []Event {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	out := make([]Event, 0, min(b.seq, uint64(len(b.ring))))
+	b.replay(0, func(be BusEvent) { out = append(out, be.Event) })
+	return out
+}
+
+// Close ends every subscription: its Ready channel is closed, after
+// any nudge for events already queued, so a consumer drains what is
+// left and stops. Subscriptions made after Close end the same way after
+// their replay. Publishing still fills the replay ring. A restore
+// closes the replaced host's bus so its streams end and clients
+// reconnect to the live host.
+func (b *Bus) Close() {
+	if b == nil {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return
+	}
+	b.closed = true
+	for _, s := range b.subs {
+		close(s.ready)
+	}
+	b.subs = nil
 }
 
 // Seq returns the sequence number of the most recently published
@@ -173,24 +215,12 @@ func (b *Bus) SubscribeFrom(capacity int, afterSeq uint64) *Subscription {
 		ready: make(chan struct{}, 1),
 	}
 	b.mu.Lock()
-	if afterSeq < b.seq {
-		// Replay retained events (oldest first) with seq > afterSeq.
-		n := uint64(len(b.ring))
-		start := uint64(1)
-		if b.seq > n {
-			start = b.seq - n + 1
-		}
-		if afterSeq+1 > start {
-			start = afterSeq + 1
-		}
-		for q := start; q <= b.seq; q++ {
-			be := b.ring[q%n]
-			if be.Seq == q {
-				s.push(be)
-			}
-		}
+	b.replay(afterSeq, func(be BusEvent) { s.push(be) })
+	if b.closed {
+		close(s.ready)
+	} else {
+		b.subs = append(b.subs, s)
 	}
-	b.subs = append(b.subs, s)
 	b.mu.Unlock()
 	return s
 }
@@ -248,6 +278,8 @@ func (s *Subscription) push(be BusEvent) bool {
 
 // Ready returns a channel that receives a nudge when events are
 // pending. One nudge can cover many events: always Drain after it.
+// Once the bus is closed the channel is closed too; a receive that
+// reports it closed means nothing is left pending.
 func (s *Subscription) Ready() <-chan struct{} {
 	if s == nil {
 		return nil

@@ -91,6 +91,105 @@ func TestBusResume(t *testing.T) {
 	}
 }
 
+// TestBusCloseEndsSubscriptions: closing a bus closes every
+// subscriber's Ready channel after its pending events, and a
+// subscription made afterwards ends once its replay is drained.
+func TestBusCloseEndsSubscriptions(t *testing.T) {
+	b := NewBus(16)
+	s := b.Subscribe(16)
+	publishN(b, 3)
+	b.Close()
+	b.Close() // idempotent
+	if _, open := <-s.Ready(); !open {
+		t.Fatal("pending nudge lost on close")
+	}
+	if got := len(s.Drain()); got != 3 {
+		t.Fatalf("drained %d pending events, want 3", got)
+	}
+	if _, open := <-s.Ready(); open {
+		t.Fatal("Ready still open after the bus closed")
+	}
+	if b.Subscribers() != 0 {
+		t.Fatalf("%d subscribers after close", b.Subscribers())
+	}
+	s.Close()
+
+	late := b.SubscribeFrom(16, 0)
+	<-late.Ready()
+	if got := len(late.Drain()); got != 3 {
+		t.Fatalf("late subscriber replayed %d events, want 3", got)
+	}
+	if _, open := <-late.Ready(); open {
+		t.Fatal("subscription to a closed bus never ends")
+	}
+}
+
+// TestBusCloseConcurrent closes a bus under live publishers and
+// subscribers: every subscriber's Ready loop ends, including those that
+// subscribe after the close. Meaningful under -race.
+func TestBusCloseConcurrent(t *testing.T) {
+	b := NewBus(32)
+	stop := make(chan struct{})
+	published := make(chan struct{})
+	go func() {
+		defer close(published)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				b.Publish(Event{Kind: KindHeartbeat, Value: float64(i)})
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 20; j++ {
+				s := b.Subscribe(8)
+				for range s.Ready() {
+					s.Drain()
+				}
+				s.Close()
+			}
+		}()
+	}
+	time.Sleep(5 * time.Millisecond)
+	b.Close()
+	wg.Wait()
+	close(stop)
+	<-published
+}
+
+// TestBusForwardToOneParent: a host bus forwards to one parent, tagging
+// the host and keeping the event's own seq; a second ForwardTo replaces
+// the parent.
+func TestBusForwardToOneParent(t *testing.T) {
+	host := New(16)
+	first, second := NewBus(16), NewBus(16)
+	host.Bus.ForwardTo(first, "box-a")
+	host.Tracer.Emit(Event{Kind: KindHeartbeat})
+	host.Bus.ForwardTo(second, "box-b")
+	host.Tracer.Emit(Event{Kind: KindHeartbeat})
+	host.Tracer.Emit(Event{Kind: KindHeartbeat})
+
+	got := first.SubscribeFrom(16, 0).Drain()
+	if len(got) != 1 || got[0].Event.Host != "box-a" || got[0].Event.Seq != 1 {
+		t.Fatalf("first parent got %+v", got)
+	}
+	got = second.SubscribeFrom(16, 0).Drain()
+	if len(got) != 2 {
+		t.Fatalf("second parent got %d events, want 2", len(got))
+	}
+	for i, be := range got {
+		if be.Seq != uint64(i+1) || be.Event.Seq != uint64(i+2) || be.Event.Host != "box-b" {
+			t.Fatalf("forwarded event %d: %+v", i, be)
+		}
+	}
+}
+
 // TestBusSubscribeCloseConcurrent hammers publish, drain, subscribe
 // and close from many goroutines — the race detector is the real
 // assertion here.

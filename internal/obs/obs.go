@@ -1,8 +1,10 @@
 // Package obs is the system's self-observability substrate: a
 // concurrency-safe metrics registry (counters, gauges, log-linear
 // latency histograms) with near-zero-allocation hot-path updates, and
-// a bounded ring-buffer tracer recording typed events stamped with
-// both virtual (simulation) and wall time.
+// one bounded event log per host — a Bus whose replay ring records
+// typed events stamped with both virtual (simulation) and wall time,
+// fed by a Tracer and read by trace dumps, SSE streams and resume
+// alike.
 //
 // The paper's thesis is that the intra-host network is unmanageable
 // because it is unobservable; obs applies the same standard to our own
@@ -18,7 +20,7 @@
 // Metric writers (the single-threaded simulation) and readers (HTTP
 // scrapes on arbitrary goroutines) never share a lock: counters and
 // gauges are single atomics, histogram buckets are atomic slots, and
-// the tracer takes a short private mutex per event. A nil *Obs is
+// an emitted event takes the bus's short private mutex. A nil *Obs is
 // valid everywhere and records nothing, so instrumented packages need
 // no configuration to stay silent.
 package obs
@@ -28,28 +30,28 @@ package obs
 type Obs struct {
 	Registry *Registry
 	Tracer   *Tracer
-	// Bus is the live fan-out: every traced event is also published
-	// here for SSE subscribers (and, in a fleet, forwarded upward to
-	// the fleet bus). Nil when tracing is disabled.
+	// Bus is the host's event log: the tracer publishes every event
+	// here, its replay ring is what Tracer.Snapshot and SSE resume
+	// read, and in a fleet it forwards upward to the fleet bus. Nil
+	// when tracing is disabled.
 	Bus *Bus
 }
 
-// New returns an Obs with an empty registry and a tracer holding up to
-// traceCapacity events (a non-positive capacity disables tracing).
-// The tracer feeds a fan-out Bus of the same capacity; slow bus
-// subscribers drop (counted by obs_sse_dropped_total), never blocking
-// emission. Command spans observe their wall duration into the
-// cmd_effect_latency_us histogram.
+// New returns an Obs with an empty registry and an event log holding
+// up to traceCapacity events (a non-positive capacity disables
+// tracing). Slow bus subscribers drop (counted by
+// obs_sse_dropped_total), never blocking emission. Command spans
+// observe their wall duration into the cmd_effect_latency_us
+// histogram.
 func New(traceCapacity int) *Obs {
 	o := &Obs{Registry: NewRegistry()}
 	if traceCapacity > 0 {
-		o.Tracer = NewTracer(traceCapacity)
 		o.Bus = NewBus(traceCapacity)
 		o.Bus.SetDropCounter(o.Registry.Counter("obs_sse_dropped_total",
 			"Events dropped because an SSE subscriber's ring was full."))
-		o.Tracer.SetBus(o.Bus)
-		o.Tracer.SetSpanLatency(o.Registry.Histogram("cmd_effect_latency_us",
-			"Wall microseconds from journaled command begin to its last applied effect."))
+		o.Tracer = &Tracer{bus: o.Bus, spanLatency: o.Registry.Histogram("cmd_effect_latency_us",
+			"Wall microseconds from journaled command begin to its last applied effect.")}
+		o.Tracer.enabled.Store(true)
 	}
 	return o
 }

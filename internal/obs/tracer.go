@@ -117,6 +117,8 @@ func KindByName(s string) EventKind {
 // recorded (unix nanoseconds) — the pairing that lets a trace answer
 // both "what did the simulated host do" and "what did it cost us".
 type Event struct {
+	// Seq is the event's 1-based position on its host's bus; fleet
+	// forwarding keeps it.
 	Seq     uint64
 	Virtual simtime.Time
 	Wall    int64
@@ -138,37 +140,23 @@ type Event struct {
 	Host string
 }
 
-// Tracer is a bounded ring buffer of events. Emission takes one short
-// mutex; when the buffer is full the oldest events are overwritten
-// (Dropped counts them). Disabled tracers cost one atomic load per
-// call site.
+// Tracer stamps events and publishes them to its host's bus, which is
+// the one place they are kept: Snapshot, Total, Dropped and Capacity
+// all read the bus's replay ring. Emission takes one short mutex for
+// the span stamp plus the bus's own. Disabled tracers cost one atomic
+// load per call site.
 type Tracer struct {
 	enabled atomic.Bool
-	mu      sync.Mutex
-	buf     []Event
-	total   uint64 // events ever emitted
+	bus     *Bus
+	// spanLatency observes the wall microseconds between BeginSpan
+	// and EndSpan (cmd_effect_latency_us).
+	spanLatency *Histogram
 
-	// span is the active command span: events emitted between
+	// mu guards the active command span: events emitted between
 	// BeginSpan and EndSpan are stamped with it.
+	mu        sync.Mutex
 	span      string
 	spanStart int64 // wall nanos at BeginSpan
-
-	// bus, when set, receives a copy of every recorded event (the
-	// live streaming fan-out). spanLatency, when set, observes the
-	// wall microseconds between BeginSpan and EndSpan
-	// (cmd_effect_latency_us).
-	bus         atomic.Pointer[Bus]
-	spanLatency atomic.Pointer[Histogram]
-}
-
-// NewTracer returns an enabled tracer retaining up to capacity events.
-func NewTracer(capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	t := &Tracer{buf: make([]Event, capacity)}
-	t.enabled.Store(true)
-	return t
 }
 
 // Enabled reports whether Emit records anything. Hot paths should
@@ -179,30 +167,6 @@ func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
 func (t *Tracer) SetEnabled(on bool) {
 	if t != nil {
 		t.enabled.Store(on)
-	}
-}
-
-// SetBus wires a fan-out bus: every event recorded after this call is
-// also published there. Pass nil to detach.
-func (t *Tracer) SetBus(b *Bus) {
-	if t != nil {
-		t.bus.Store(b)
-	}
-}
-
-// Bus returns the attached fan-out bus, if any.
-func (t *Tracer) Bus() *Bus {
-	if t == nil {
-		return nil
-	}
-	return t.bus.Load()
-}
-
-// SetSpanLatency wires the histogram that EndSpan observes span wall
-// durations into, in microseconds.
-func (t *Tracer) SetSpanLatency(h *Histogram) {
-	if t != nil {
-		t.spanLatency.Store(h)
 	}
 }
 
@@ -235,28 +199,23 @@ func (t *Tracer) EndSpan() {
 	if !open {
 		return
 	}
-	if h := t.spanLatency.Load(); h != nil {
-		h.Observe(float64(time.Now().UnixNano()-start) / 1e3)
-	}
+	t.spanLatency.Observe(float64(time.Now().UnixNano()-start) / 1e3)
 }
 
-// Emit records one event. Nil tracers and disabled tracers are no-ops.
+// Emit stamps ev with the wall clock and the active span and
+// publishes it; the bus assigns its sequence number. Nil tracers and
+// disabled tracers are no-ops.
 func (t *Tracer) Emit(ev Event) {
 	if t == nil || !t.enabled.Load() {
 		return
 	}
 	ev.Wall = time.Now().UnixNano()
-	t.mu.Lock()
 	if ev.Span == "" {
+		t.mu.Lock()
 		ev.Span = t.span
+		t.mu.Unlock()
 	}
-	ev.Seq = t.total
-	t.buf[t.total%uint64(len(t.buf))] = ev
-	t.total++
-	t.mu.Unlock()
-	if b := t.bus.Load(); b != nil {
-		b.Publish(ev)
-	}
+	t.bus.publish(ev, true)
 }
 
 // Total returns the number of events ever emitted.
@@ -264,22 +223,19 @@ func (t *Tracer) Total() uint64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
+	return t.bus.Seq()
 }
 
-// Dropped returns how many events have been overwritten.
+// Dropped returns how many events have aged out of the ring.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.total <= uint64(len(t.buf)) {
+	seq, capacity := t.bus.Seq(), uint64(len(t.bus.ring))
+	if seq <= capacity {
 		return 0
 	}
-	return t.total - uint64(len(t.buf))
+	return seq - capacity
 }
 
 // Capacity returns the ring size.
@@ -287,7 +243,7 @@ func (t *Tracer) Capacity() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.buf)
+	return len(t.bus.ring)
 }
 
 // Snapshot returns the retained events, oldest first.
@@ -295,18 +251,5 @@ func (t *Tracer) Snapshot() []Event {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := t.total
-	capacity := uint64(len(t.buf))
-	if n > capacity {
-		out := make([]Event, 0, capacity)
-		start := n % capacity // oldest retained slot
-		out = append(out, t.buf[start:]...)
-		out = append(out, t.buf[:start]...)
-		return out
-	}
-	out := make([]Event, n)
-	copy(out, t.buf[:n])
-	return out
+	return t.bus.events()
 }

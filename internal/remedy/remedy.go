@@ -218,18 +218,17 @@ type Options struct {
 	BusCapacity int
 }
 
-// New attaches a controller to a manager, subscribing to the obs
-// event bus (created and wired if the tracer has none) for fault and
-// verdict events. The actuator decides whether actions are journaled.
+// New attaches a controller to a manager, subscribing to its obs
+// event bus for fault and verdict events; a manager with tracing
+// disabled has none, and New refuses it. The actuator decides whether
+// actions are journaled.
 func New(mgr *core.Manager, act Actuator, opts Options) (*Controller, error) {
 	if err := opts.Policy.Validate(); err != nil {
 		return nil, err
 	}
-	tr := mgr.Obs().Tracer
-	bus := tr.Bus()
+	bus := mgr.Obs().Bus
 	if bus == nil {
-		bus = obs.NewBus(1024)
-		tr.SetBus(bus)
+		return nil, fmt.Errorf("remedy: event tracing is disabled, so there is no event bus to watch")
 	}
 	capacity := opts.BusCapacity
 	if capacity <= 0 {
@@ -237,7 +236,7 @@ func New(mgr *core.Manager, act Actuator, opts Options) (*Controller, error) {
 	}
 	c := &Controller{
 		mgr: mgr, act: act, pol: opts.Policy, host: opts.Host, fleet: opts.Fleet,
-		sub: bus.Subscribe(capacity), topo: mgr.Topology(), tracer: tr,
+		sub: bus.Subscribe(capacity), topo: mgr.Topology(), tracer: mgr.Obs().Tracer,
 		open:      make(map[string]*Incident),
 		lastTouch: make(map[string]simtime.Time),
 	}

@@ -41,6 +41,22 @@ func newController(t testing.TB, m *core.Manager, pol Policy) *Controller {
 	return c
 }
 
+// TestNewRefusesDisabledTracing: the controller watches the manager's
+// event bus; with tracing off there is none, and New says so instead
+// of subscribing to a bus nothing publishes on.
+func TestNewRefusesDisabledTracing(t *testing.T) {
+	opts := core.DefaultOptions()
+	opts.TraceCapacity = -1
+	m, err := core.New(topology.TwoSocketServer(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = New(m, ManagerActuator{Mgr: m}, Options{Policy: DefaultPolicy()})
+	if err == nil || !strings.Contains(err.Error(), "tracing is disabled") {
+		t.Fatalf("New with tracing disabled: err %v", err)
+	}
+}
+
 func TestPolicyValidate(t *testing.T) {
 	if err := DefaultPolicy().Validate(); err != nil {
 		t.Fatalf("default policy invalid: %v", err)

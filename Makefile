@@ -126,15 +126,15 @@ chaos-smoke:
 # Chaos-vs-controller smoke: the same seeded adversary, but with the
 # closed-loop remediation controller armed. Each pinned seed must heal
 # at least 95% of its eligible injected faults within the 2ms virtual
-# deadline with zero oracle violations, and the auto-remediation drill
-# must pass end to end. Failures reproduce exactly with the printed
-# seed, like chaos-smoke.
+# deadline with zero oracle violations, and every drill under
+# scenarios/ must pass end to end. Failures reproduce exactly with the
+# printed seed, like chaos-smoke.
 remedy-smoke:
 	$(GO) run ./cmd/ihscenario fuzz -vs-controller -seed 1 -events 150 -dur 10ms -out chaos-artifacts
 	$(GO) run ./cmd/ihscenario fuzz -vs-controller -seed 7 -events 150 -dur 10ms -out chaos-artifacts
 	$(GO) run ./cmd/ihscenario fuzz -vs-controller -seed 42 -events 150 -dur 10ms -out chaos-artifacts
 	$(GO) run ./cmd/ihscenario fuzz -fleet 4 -vs-controller -seed 1 -events 150 -dur 10ms -preset minimal -out chaos-artifacts
-	$(GO) run ./cmd/ihscenario scenarios/auto-remediation-drill.json
+	$(GO) run ./cmd/ihscenario scenarios/*.json
 
 # Trajectory gate for the remediation controller: the idle control-loop
 # step must stay at 0 allocs/op (it runs every probe period), and the

@@ -155,6 +155,13 @@ func (a *Arbiter) Install(tenant fabric.TenantID, res resmodel.Reservation) erro
 	return nil
 }
 
+// Rearbitrate runs one arbitration pass now instead of at the next
+// tick. Demand that appears without a guarantee changing (a workload
+// starting) is capped at once, as Install and Remove do for
+// guarantees, so a new antagonist never runs uncapped for up to one
+// AdjustPeriod.
+func (a *Arbiter) Rearbitrate() { a.apply() }
+
 // Remove drops a tenant's guarantees and re-arbitrates, releasing the
 // bandwidth promptly "when applications come and go".
 func (a *Arbiter) Remove(tenant fabric.TenantID) {

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -34,15 +35,45 @@ func loadSpecs(t *testing.T) map[string]Spec {
 	return specs
 }
 
-// TestScenariosAreDeterministic runs every shipped drill twice with
-// its own seed and requires bit-identical results — assertion
-// outcomes, details, and the full timeline log.
+// TestScenariosAreDeterministic runs every shipped drill and requires
+// that it passes, that its final state hash equals snap.Replay of the
+// session's own journal (the verdict is the journaled verdict), and
+// that a second run is bit-identical — assertion outcomes, details and
+// the full timeline log. The colocation drill also runs with its
+// antagonists shifted off the arbiter's tick grid by 1us and 10us: a
+// workload start must be capped at once, not at the next tick.
 func TestScenariosAreDeterministic(t *testing.T) {
-	for name, spec := range loadSpecs(t) {
+	specs := loadSpecs(t)
+	coloc := specs["colocation-guarantee.json"]
+	for _, shiftUs := range []int64{1, 10} {
+		s := coloc
+		s.Workloads = append([]WorkloadSpec(nil), coloc.Workloads...)
+		for i := range s.Workloads {
+			if s.Workloads[i].Kind != "kv" {
+				s.Workloads[i].AtUs += shiftUs
+			}
+		}
+		specs[fmt.Sprintf("colocation-guarantee.json+%dus", shiftUs)] = s
+	}
+	for name, spec := range specs {
 		t.Run(name, func(t *testing.T) {
-			first, err := Run(spec)
+			first, sess, err := run(spec)
+			if sess != nil {
+				defer sess.Manager().Stop()
+			}
 			if err != nil {
 				t.Fatal(err)
+			}
+			if !first.Passed {
+				t.Fatalf("drill failed: %+v", first.Checks)
+			}
+			replayed, err := snap.Replay(sess.Config(), sess.Journal())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer replayed.Manager().Stop()
+			if got, want := snap.StateHash(replayed.Manager()), snap.StateHash(sess.Manager()); got != want {
+				t.Fatalf("replayed journal hash %s, live hash %s", got, want)
 			}
 			second, err := Run(spec)
 			if err != nil {

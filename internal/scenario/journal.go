@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/arbiter"
@@ -11,16 +12,20 @@ import (
 
 // ToJournal converts a drill spec into a snap reconstruction config
 // and command journal: admissions at time zero, timeline operations in
-// schedule order, and a final advance to the drill's duration. A drill
-// on disk thereby doubles as a determinism-regression input — `ihdiag
-// replay` and snap.CheckDeterminism consume the result directly.
-//
-// The journal reproduces the drill's commands, not its event
-// interleaving: Run schedules timeline callbacks inside the engine
-// while replay applies them between RunUntil calls, so the two paths
-// allocate event sequence numbers differently. Determinism claims are
-// therefore always replay-vs-replay or run-vs-run, never across.
+// time order (ties keep spec order, workloads before faults), and a
+// final advance to the drill's duration. Run applies exactly this
+// journal to a session, so a drill on disk doubles as a
+// determinism-regression input — `ihdiag replay` and
+// snap.CheckDeterminism consume the result directly, and replaying it
+// reproduces the drill's run.
 func ToJournal(spec Spec) (snap.Config, snap.Journal) {
+	cfg, j, _ := toJournal(spec)
+	return cfg, j
+}
+
+// toJournal is ToJournal plus one drill-timeline line per entry (empty
+// for the final advance), worded from the spec.
+func toJournal(spec Spec) (snap.Config, snap.Journal, []string) {
 	opts := core.DefaultOptions()
 	opts.Seed = spec.Seed
 	if spec.ArbiterMode != "" {
@@ -29,9 +34,11 @@ func ToJournal(spec Spec) (snap.Config, snap.Journal) {
 	cfg := snap.Config{Preset: spec.Preset, Options: opts}
 
 	var j snap.Journal
-	add := func(e snap.Entry) {
+	var lines []string
+	add := func(e snap.Entry, line string) {
 		e.Seq = uint64(len(j.Entries))
 		j.Entries = append(j.Entries, e)
+		lines = append(lines, line)
 	}
 
 	for _, ts := range spec.Tenants {
@@ -39,26 +46,25 @@ func ToJournal(spec Spec) (snap.Config, snap.Journal) {
 		for _, tg := range ts.Targets {
 			e.Targets = append(e.Targets, snap.Target{
 				Src: tg.Src, Dst: tg.Dst,
-				// Same conversion Run uses, for identical floats.
 				RateBps: float64(topology.Gbps(tg.RateGbps)),
 			})
 		}
-		add(e)
+		add(e, fmt.Sprintf("admitted tenant %s (%d targets)", ts.Tenant, len(e.Targets)))
 	}
 
-	// Merge workloads and faults into one timeline. Run schedules all
-	// workloads before all faults, so ties on at_us keep that order
-	// (stable sort over workloads-first input).
+	// Merge workloads and faults into one timeline; the stable sort
+	// over workloads-first input breaks at_us ties.
 	type op struct {
 		atUs int64
 		e    snap.Entry
+		line string
 	}
 	var ops []op
 	for _, w := range spec.Workloads {
 		ops = append(ops, op{w.AtUs, snap.Entry{
 			Kind: snap.KindWorkload, Workload: w.Kind,
 			Tenant: w.Tenant, Src: w.Src, Dst: w.Dst,
-		}})
+		}, fmt.Sprintf("started %s workload for tenant %s", w.Kind, w.Tenant)})
 	}
 	for _, f := range spec.Faults {
 		var e snap.Entry
@@ -76,7 +82,7 @@ func ToJournal(spec Spec) (snap.Config, snap.Journal) {
 		default:
 			continue // Load already rejected unknown kinds
 		}
-		ops = append(ops, op{f.AtUs, e})
+		ops = append(ops, op{f.AtUs, e, fmt.Sprintf("fault %s %s%s", f.Kind, f.Link, f.Component)})
 	}
 	sort.SliceStable(ops, func(i, k int) bool { return ops[i].atUs < ops[k].atUs })
 	var lastNs int64
@@ -85,11 +91,11 @@ func ToJournal(spec Spec) (snap.Config, snap.Journal) {
 		if o.e.AtNs > lastNs {
 			lastNs = o.e.AtNs
 		}
-		add(o.e)
+		add(o.e, o.line)
 	}
 
 	if durNs := spec.DurationUs * 1000; durNs > lastNs {
-		add(snap.Entry{AtNs: lastNs, Kind: snap.KindAdvance, ToNs: durNs})
+		add(snap.Entry{AtNs: lastNs, Kind: snap.KindAdvance, ToNs: durNs}, "")
 	}
-	return cfg, j
+	return cfg, j, lines
 }

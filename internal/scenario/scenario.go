@@ -6,6 +6,12 @@
 // X? does the KV tail stay below Y under the antagonist?) and to keep
 // them passing as the stack evolves — regression tests for the
 // management plane itself.
+//
+// A drill has no command applier of its own: Run converts the spec to
+// a snap journal (ToJournal) and applies it to a snap.Session through
+// the replay path, and remediation acts through the same session. The
+// state a drill's verdict is taken on is therefore exactly the state
+// that replaying the drill's journal reproduces.
 package scenario
 
 import (
@@ -17,12 +23,11 @@ import (
 	"repro/internal/arbiter"
 	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/intent"
 	"repro/internal/monitor"
 	"repro/internal/remedy"
 	"repro/internal/simtime"
+	"repro/internal/snap"
 	"repro/internal/topology"
-	"repro/internal/workload"
 )
 
 // Spec is the on-disk drill description.
@@ -197,95 +202,75 @@ type Result struct {
 
 // Run executes a drill and evaluates its assertions.
 func Run(spec Spec) (Result, error) {
-	opts := core.DefaultOptions()
-	opts.Seed = spec.Seed
-	if spec.ArbiterMode != "" {
-		opts.Arbiter.Mode = arbiter.Mode(spec.ArbiterMode)
+	res, sess, err := run(spec)
+	if sess != nil {
+		sess.Manager().Stop()
 	}
-	build := topology.Presets[spec.Preset]
-	mgr, err := core.New(build(), opts)
+	return res, err
+}
+
+// run applies the drill's journal (ToJournal) to a fresh snap.Session
+// entry by entry through Session.ReplayEntry, the replay path, so the
+// session's own journal replays to its live state. With remediation
+// armed, the clock reaches each entry in slices of the step interval
+// on the virtual step grid, and the controller steps after each slice
+// and acts through the session. The caller stops the returned session.
+func run(spec Spec) (Result, *snap.Session, error) {
+	cfg, j, lines := toJournal(spec)
+	sess, err := snap.NewSession(cfg)
 	if err != nil {
-		return Result{}, err
-	}
-	if err := mgr.Start(); err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
 	res := Result{Name: spec.Name}
-	logf := func(format string, args ...any) {
-		res.Timeline = append(res.Timeline,
-			fmt.Sprintf("t=%-12v %s", mgr.Engine().Now(), fmt.Sprintf(format, args...)))
-	}
 
-	for _, ts := range spec.Tenants {
-		targets := make([]intent.Target, len(ts.Targets))
-		for i, tg := range ts.Targets {
-			targets[i] = intent.Target{
-				Src: topology.CompID(tg.Src), Dst: topology.CompID(tg.Dst),
-				Rate: topology.Gbps(tg.RateGbps),
-			}
-		}
-		if _, err := mgr.Admit(fabric.TenantID(ts.Tenant), targets); err != nil {
-			return Result{}, fmt.Errorf("scenario: admit %q: %w", ts.Tenant, err)
-		}
-		logf("admitted tenant %s (%d targets)", ts.Tenant, len(targets))
-	}
-
-	kvs := make(map[string]*workload.KVClient)
-	engine := mgr.Engine()
-
-	// Arm the remediation controller before the timeline starts so the
-	// injected faults' trace events are observed with exact timestamps.
-	// The loop steps on a fixed virtual cadence via a self-rescheduling
-	// tick — the same deterministic clock the faults ride on.
 	var ctrl *remedy.Controller
+	interval := 100 * simtime.Microsecond
 	if spec.Remedy != nil && spec.Remedy.Enabled {
-		var err error
-		ctrl, err = remedy.New(mgr, remedy.ManagerActuator{Mgr: mgr},
+		ctrl, err = remedy.New(sess.Manager(), remedy.SessionActuator{Sess: sess},
 			remedy.Options{Policy: remedy.DefaultPolicy()})
 		if err != nil {
-			return Result{}, err
+			return Result{}, sess, err
 		}
 		defer ctrl.Close()
-		interval := simtime.Duration(spec.Remedy.StepIntervalUs) * simtime.Microsecond
-		if interval <= 0 {
-			interval = 100 * simtime.Microsecond
+		if spec.Remedy.StepIntervalUs > 0 {
+			interval = simtime.Duration(spec.Remedy.StepIntervalUs) * simtime.Microsecond
 		}
-		var tick func()
-		tick = func() {
+	}
+	next := simtime.Time(interval)
+	stepTo := func(t simtime.Time) error {
+		for ; ctrl != nil && next <= t; next = next.Add(interval) {
+			if err := sess.AdvanceTo(next); err != nil {
+				return err
+			}
 			ctrl.Step()
-			engine.Schedule(engine.Now().Add(interval), tick)
 		}
-		engine.Schedule(simtime.Time(interval), tick)
+		return nil
 	}
 
-	var startErr error
-	for _, w := range spec.Workloads {
-		w := w
-		engine.Schedule(simtime.Time(w.AtUs)*simtime.Time(simtime.Microsecond), func() {
-			if err := startWorkload(mgr, w, kvs); err != nil && startErr == nil {
-				startErr = err
-				return
-			}
-			logf("started %s workload for tenant %s", w.Kind, w.Tenant)
-		})
-	}
 	var firstFault simtime.Time = -1
-	for _, fs := range spec.Faults {
-		fs := fs
-		engine.Schedule(simtime.Time(fs.AtUs)*simtime.Time(simtime.Microsecond), func() {
-			if err := applyFault(mgr, fs); err != nil && startErr == nil {
-				startErr = err
-				return
+	for i, e := range j.Entries {
+		if e.Kind == snap.KindAdvance {
+			// Journaled as a fresh advance: remedy actions in the last
+			// slices may postdate e.AtNs.
+			err = stepTo(simtime.Time(e.ToNs))
+			if err == nil {
+				err = sess.AdvanceTo(simtime.Time(e.ToNs))
 			}
-			if firstFault < 0 && fs.Kind != "restore" {
-				firstFault = engine.Now()
+		} else if err = stepTo(simtime.Time(e.AtNs)); err == nil {
+			err = sess.ReplayEntry(e)
+		}
+		if err != nil {
+			return Result{}, sess, fmt.Errorf("scenario: %s at %dus: %w", e.Kind, e.AtNs/1000, err)
+		}
+		switch e.Kind {
+		case snap.KindDegrade, snap.KindFail, snap.KindSetConfig:
+			if firstFault < 0 {
+				firstFault = sess.Now()
 			}
-			logf("fault %s %s%s", fs.Kind, fs.Link, fs.Component)
-		})
-	}
-	mgr.RunFor(simtime.Duration(spec.DurationUs) * simtime.Microsecond)
-	if startErr != nil {
-		return Result{}, startErr
+		}
+		if lines[i] != "" {
+			res.Timeline = append(res.Timeline, fmt.Sprintf("t=%-12v %s", sess.Now(), lines[i]))
+		}
 	}
 
 	// Replay the remediation ledger onto the timeline using the
@@ -308,90 +293,17 @@ func Run(spec Spec) (Result, error) {
 
 	res.Passed = true
 	for _, a := range spec.Asserts {
-		c := evaluate(mgr, ctrl, a, kvs, firstFault)
+		c := evaluate(sess, ctrl, a, firstFault)
 		if !c.Passed {
 			res.Passed = false
 		}
 		res.Checks = append(res.Checks, c)
 	}
-	mgr.Stop()
-	return res, nil
+	return res, sess, nil
 }
 
-func startWorkload(mgr *core.Manager, w WorkloadSpec, kvs map[string]*workload.KVClient) error {
-	fab := mgr.Fabric()
-	tenant := fabric.TenantID(w.Tenant)
-	switch w.Kind {
-	case "kv":
-		cfg := workload.DefaultKVConfig(tenant)
-		if w.Src != "" {
-			cfg.Client = topology.CompID(w.Src)
-		}
-		if w.Dst != "" {
-			cfg.Server = topology.CompID(w.Dst)
-		}
-		kv, err := workload.StartKV(fab, cfg)
-		if err != nil {
-			return err
-		}
-		kvs[w.Tenant] = kv
-		return nil
-	case "ml":
-		cfg := workload.DefaultMLConfig(tenant)
-		if w.Src != "" {
-			cfg.Memory = topology.CompID(w.Src)
-		}
-		if w.Dst != "" {
-			cfg.GPU = topology.CompID(w.Dst)
-		}
-		_, err := workload.StartML(fab, cfg)
-		return err
-	case "loopback":
-		nic, dimm := topology.CompID("nic0"), topology.CompID("socket0.dimm0_0")
-		if w.Src != "" {
-			nic = topology.CompID(w.Src)
-		}
-		if w.Dst != "" {
-			dimm = topology.CompID(w.Dst)
-		}
-		_, err := workload.StartLoopback(fab, tenant, nic, dimm)
-		return err
-	case "scan":
-		ssd, dimm := topology.CompID("ssd0"), topology.CompID("socket0.dimm0_0")
-		if w.Src != "" {
-			ssd = topology.CompID(w.Src)
-		}
-		if w.Dst != "" {
-			dimm = topology.CompID(w.Dst)
-		}
-		_, err := workload.StartScan(fab, tenant, ssd, dimm, 4<<20)
-		return err
-	}
-	return fmt.Errorf("scenario: unknown workload kind %q", w.Kind)
-}
-
-func applyFault(mgr *core.Manager, f FaultSpec) error {
-	fab := mgr.Fabric()
-	switch f.Kind {
-	case "degrade":
-		return fab.DegradeLink(topology.LinkID(f.Link), f.LossFrac,
-			simtime.Duration(f.ExtraUs)*simtime.Microsecond)
-	case "fail":
-		return fab.FailLink(topology.LinkID(f.Link))
-	case "restore":
-		return fab.RestoreLink(topology.LinkID(f.Link))
-	case "config":
-		c := mgr.Topology().Component(topology.CompID(f.Component))
-		if c == nil {
-			return fmt.Errorf("scenario: unknown component %q", f.Component)
-		}
-		c.SetConfig(f.Key, f.Value)
-		return nil
-	}
-	return fmt.Errorf("scenario: unknown fault kind %q", f.Kind)
-}
-
-func evaluate(mgr *core.Manager, ctrl *remedy.Controller, a AssertSpec, kvs map[string]*workload.KVClient, firstFault simtime.Time) CheckResult {
+func evaluate(sess *snap.Session, ctrl *remedy.Controller, a AssertSpec, firstFault simtime.Time) CheckResult {
+	mgr := sess.Manager()
 	c := CheckResult{Assert: a}
 	switch a.Kind {
 	case "remedy_action_executed":
@@ -461,8 +373,8 @@ func evaluate(mgr *core.Manager, ctrl *remedy.Controller, a AssertSpec, kvs map[
 		c.Passed = sameLink(mgr, string(top), a.Link)
 		c.Detail = fmt.Sprintf("top suspect %s", top)
 	case "p99_below_us", "p99_above_us":
-		kv, ok := kvs[a.Tenant]
-		if !ok {
+		kv := sess.KV(a.Tenant)
+		if kv == nil {
 			c.Detail = fmt.Sprintf("no kv workload for tenant %q", a.Tenant)
 			return c
 		}

@@ -468,9 +468,11 @@ func (s *Session) Perf(src, dst, tenant string) (diag.PerfReport, error) {
 }
 
 // ReplayEntry re-executes one journaled command against this session.
-// It is the single-entry form of Replay, exported so harnesses (the
-// chaos invariant checker) can interleave their own checks between
-// entries while staying on the exact replay path.
+// It is the single-entry form of Replay, exported so harnesses can
+// interleave their own work between entries while staying on the
+// exact replay path: the chaos invariant checker runs its checks, and
+// the drill runner (internal/scenario) applies a drill's converted
+// journal and steps its remediation controller.
 func (s *Session) ReplayEntry(e Entry) error { return s.replayEntry(e) }
 
 // replayEntry re-executes one journaled command: advance the clock to
@@ -571,11 +573,14 @@ func (s *Session) applyOp(e Entry) error {
 	return fmt.Errorf("snap: unknown entry kind %q", e.Kind)
 }
 
-// applyWorkload starts the journaled workload, mirroring the scenario
-// runner's defaults so drills and journals agree on semantics.
+// applyWorkload starts the journaled workload, then re-arbitrates at
+// once so the new traffic is capped from its first instant rather than
+// from the arbiter's next tick (Install and Remove do the same for
+// guarantees).
 func (s *Session) applyWorkload(e Entry) error {
 	fab := s.mgr.Fabric()
 	tenant := fabric.TenantID(e.Tenant)
+	var err error
 	switch e.Workload {
 	case "kv":
 		cfg := workload.DefaultKVConfig(tenant)
@@ -585,12 +590,10 @@ func (s *Session) applyWorkload(e Entry) error {
 		if e.Dst != "" {
 			cfg.Server = topology.CompID(e.Dst)
 		}
-		kv, err := workload.StartKV(fab, cfg)
-		if err != nil {
-			return err
+		var kv *workload.KVClient
+		if kv, err = workload.StartKV(fab, cfg); err == nil {
+			s.kvs[e.Tenant] = kv
 		}
-		s.kvs[e.Tenant] = kv
-		return nil
 	case "ml":
 		cfg := workload.DefaultMLConfig(tenant)
 		if e.Src != "" {
@@ -599,8 +602,7 @@ func (s *Session) applyWorkload(e Entry) error {
 		if e.Dst != "" {
 			cfg.GPU = topology.CompID(e.Dst)
 		}
-		_, err := workload.StartML(fab, cfg)
-		return err
+		_, err = workload.StartML(fab, cfg)
 	case "loopback":
 		nic, dimm := topology.CompID("nic0"), topology.CompID("socket0.dimm0_0")
 		if e.Src != "" {
@@ -609,8 +611,7 @@ func (s *Session) applyWorkload(e Entry) error {
 		if e.Dst != "" {
 			dimm = topology.CompID(e.Dst)
 		}
-		_, err := workload.StartLoopback(fab, tenant, nic, dimm)
-		return err
+		_, err = workload.StartLoopback(fab, tenant, nic, dimm)
 	case "scan":
 		ssd, dimm := topology.CompID("ssd0"), topology.CompID("socket0.dimm0_0")
 		if e.Src != "" {
@@ -619,10 +620,15 @@ func (s *Session) applyWorkload(e Entry) error {
 		if e.Dst != "" {
 			dimm = topology.CompID(e.Dst)
 		}
-		_, err := workload.StartScan(fab, tenant, ssd, dimm, 4<<20)
+		_, err = workload.StartScan(fab, tenant, ssd, dimm, 4<<20)
+	default:
+		return fmt.Errorf("snap: unknown workload kind %q", e.Workload)
+	}
+	if err != nil {
 		return err
 	}
-	return fmt.Errorf("snap: unknown workload kind %q", e.Workload)
+	s.mgr.Arbiter().Rearbitrate()
+	return nil
 }
 
 // applyProbe re-runs a journaled diagnostic probe: start it, then
